@@ -311,6 +311,28 @@ func BenchmarkFig6a100k(b *testing.B) {
 	}
 }
 
+// BenchmarkSim100kSetup times what a 100k-application run pays before its
+// event loop: validation, construction (arena, bulk-armed release timers)
+// and the t = 0 release instant, ended by the snapshot copy. It gives setup
+// cost its own gated line next to BenchmarkFig6a100k, so a per-application
+// allocation creeping back into construction shows up here at full size
+// instead of diluted in the whole run.
+func BenchmarkSim100kSetup(b *testing.B) {
+	p, apps := population100k(100_000, 20)
+	cfg := iosched.SimConfig{Platform: p, Scheduler: iosched.MaxSysEff(), Apps: apps}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := iosched.SimulateToSnapshot(cfg, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(snap.Apps) != len(apps) {
+			b.Fatal("snapshot lost applications")
+		}
+	}
+}
+
 func BenchmarkEmulateVestaScenario(b *testing.B) {
 	for _, ranks := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("ranks-%d", ranks), func(b *testing.B) {

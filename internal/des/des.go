@@ -12,12 +12,15 @@
 // it, and the application-level simulator (internal/sim) keeps its per-app
 // phase deadlines in it as reschedulable timers. An event created once and
 // moved with Reschedule never allocates again, which is what makes the
-// steady-state fire path of both engines allocation-free.
+// steady-state fire path of both engines allocation-free (StepDue,
+// Reschedule and the heap sifts carry //iosched:allocfree and are compiled
+// under the escape gate).
 package des
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Engine is a discrete-event scheduler with a virtual clock.
@@ -27,6 +30,7 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	steps  uint64
+	onID   func(id int32) // runs events that carry an ID instead of a callback
 }
 
 // Handle identifies a scheduled event and allows cancellation.
@@ -37,9 +41,27 @@ type Handle struct {
 type event struct {
 	time  float64
 	seq   uint64
-	fn    func()
-	index int // heap index, -1 when removed
+	fn    func() // nil: the event hands id to the engine's ID handler
+	id    int32
+	index int32 // heap index, -1 when removed
 }
+
+// HandleIDs installs the handler for events that carry an ID instead of a
+// callback (Arm.ID, IDTimer). It is for populations: when n timers all do
+// the same thing, each to its own element, arming them by the element's
+// index through one handler creates no closure per element.
+func (e *Engine) HandleIDs(fn func(id int32)) { e.onID = fn }
+
+// fire runs a popped event.
+func (e *Engine) fire(ev *event) {
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		e.onID(ev.id)
+	}
+}
+
+const noIDHandler = "des: event has no Fn and the engine no ID handler (call HandleIDs before arming)"
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -59,6 +81,9 @@ func (e *Engine) At(t float64, fn func()) Handle {
 	if math.IsNaN(t) {
 		panic("des: scheduling event at NaN")
 	}
+	if fn == nil {
+		panic("des: scheduling event with nil fn")
+	}
 	ev := &event{time: t, seq: e.seq, fn: fn}
 	e.seq++
 	e.events.push(ev)
@@ -70,10 +95,12 @@ func (e *Engine) After(d float64, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// Arm describes one timer for ArmAll: Fn runs at absolute time At.
+// Arm describes one timer for ArmAll: Fn runs at absolute time At. An arm
+// with a nil Fn hands ID to the engine's ID handler instead (HandleIDs).
 type Arm struct {
 	At float64
 	Fn func()
+	ID int32
 }
 
 // ArmAll schedules every arm and returns their handles, aligned by index.
@@ -83,7 +110,7 @@ type Arm struct {
 // contiguous block and the heap property is restored with a single O(n)
 // bottom-up pass instead of n individual sifts. It is the population-
 // setup path: arming one deadline timer per application of a 100k-app
-// workload this way costs two allocations, not 100k.
+// workload this way costs three allocations, not 100k.
 func (e *Engine) ArmAll(arms []Arm) []Handle {
 	if len(arms) == 0 {
 		return nil
@@ -95,17 +122,22 @@ func (e *Engine) ArmAll(arms []Arm) []Handle {
 		if math.IsNaN(arms[i].At) {
 			panic("des: scheduling event at NaN")
 		}
+		if arms[i].Fn == nil && e.onID == nil {
+			panic(noIDHandler)
+		}
 	}
 	evs := make([]event, len(arms))
 	handles := make([]Handle, len(arms))
 	base := len(e.events)
+	e.events = slices.Grow(e.events, len(arms))
 	for i := range arms {
 		ev := &evs[i]
 		ev.time = arms[i].At
 		ev.seq = e.seq
 		e.seq++
 		ev.fn = arms[i].Fn
-		ev.index = base + i
+		ev.id = arms[i].ID
+		ev.index = int32(base + i)
 		e.events = append(e.events, ev)
 		handles[i] = Handle{ev: ev}
 	}
@@ -113,13 +145,17 @@ func (e *Engine) ArmAll(arms []Arm) []Handle {
 	return handles
 }
 
-// Timer creates an unscheduled event for fn and returns its handle: the
-// timer is not pending until armed with Reschedule. It is the constructor
-// for restore paths that rebuild a simulation whose applications may have
-// no deadline right now but will re-arm their timer later — the handle
-// behaves exactly like one whose event has already fired.
-func (e *Engine) Timer(fn func()) Handle {
-	return Handle{ev: &event{fn: fn, index: -1}}
+// IDTimer creates an unscheduled event carrying id and returns its handle:
+// the timer is not pending until armed with Reschedule. It is the
+// constructor for restore paths that rebuild a simulation whose
+// applications may have no deadline right now but will re-arm their timer
+// later — the handle behaves exactly like one whose event has already
+// fired.
+func (e *Engine) IDTimer(id int32) Handle {
+	if e.onID == nil {
+		panic(noIDHandler)
+	}
+	return Handle{ev: &event{id: id, index: -1}}
 }
 
 // Cancel removes the event from the queue. Cancelling an already-fired or
@@ -129,7 +165,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if h.ev == nil || h.ev.index < 0 {
 		return false
 	}
-	e.events.remove(h.ev.index)
+	e.events.remove(int(h.ev.index))
 	return true
 }
 
@@ -155,12 +191,15 @@ func (e *Engine) When(h Handle) (t float64, ok bool) {
 // possible", unlike At where a past time is a logic error). The event
 // receives a fresh sequence number, so among same-instant events it fires
 // in (re)schedule order. Rescheduling a zero Handle reports false.
+//
+//iosched:allocfree
 func (e *Engine) Reschedule(h Handle, t float64) bool {
 	ev := h.ev
 	if ev == nil {
 		return false
 	}
 	if math.IsNaN(t) {
+		//iosched:allocfree-allow the panic value on a logic error, never on a run that continues
 		panic("des: rescheduling event to NaN")
 	}
 	if t < e.now {
@@ -170,7 +209,7 @@ func (e *Engine) Reschedule(h Handle, t float64) bool {
 	ev.seq = e.seq
 	e.seq++
 	if ev.index >= 0 {
-		e.events.fix(ev.index)
+		e.events.fix(int(ev.index))
 	} else {
 		e.events.push(ev)
 	}
@@ -186,7 +225,7 @@ func (e *Engine) Step() bool {
 	ev := e.events.pop()
 	e.now = ev.time
 	e.steps++
-	ev.fn()
+	e.fire(ev)
 	return true
 }
 
@@ -195,6 +234,8 @@ func (e *Engine) Step() bool {
 // executed. This is the fire path for callers that batch events inside a
 // simultaneity window (time <= t) without advancing past it; it performs
 // no allocation.
+//
+//iosched:allocfree
 func (e *Engine) StepDue(t float64) bool {
 	if len(e.events) == 0 || e.events[0].time > t {
 		return false
@@ -204,7 +245,7 @@ func (e *Engine) StepDue(t float64) bool {
 		e.now = ev.time
 	}
 	e.steps++
-	ev.fn()
+	e.fire(ev)
 	return true
 }
 

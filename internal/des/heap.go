@@ -34,12 +34,14 @@ func (h eventHeap) less(i, j int) bool {
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 
 // up sifts the element at i toward the root until its parent is no
 // larger.
+//
+//iosched:allocfree
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -54,6 +56,8 @@ func (h eventHeap) up(i int) {
 // down sifts the element at i toward the leaves, swapping with its
 // smallest child while one is smaller. It reports whether the element
 // moved.
+//
+//iosched:allocfree
 func (h eventHeap) down(i int) bool {
 	n := len(h)
 	i0 := i
@@ -83,9 +87,10 @@ func (h eventHeap) down(i int) bool {
 
 // push appends ev and restores the heap property.
 func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
+	i := len(*h)
+	ev.index = int32(i)
 	*h = append(*h, ev)
-	h.up(ev.index)
+	h.up(i)
 }
 
 // pop removes and returns the minimum element, marking it fired
@@ -124,6 +129,8 @@ func (h *eventHeap) remove(i int) {
 
 // fix restores the heap property after the element at i changed its key
 // in either direction.
+//
+//iosched:allocfree
 func (h eventHeap) fix(i int) {
 	if !h.down(i) {
 		h.up(i)

@@ -3,6 +3,7 @@ package des
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -20,7 +21,10 @@ type refTimer struct {
 // interleaved partial drains through the engine and through a reference
 // sorted list, and requires identical fire sequences. The heap layout
 // (arity, sift order) must be invisible: (time, seq) is a strict total
-// order, so any correct queue produces exactly this sequence.
+// order, so any correct queue produces exactly this sequence. The
+// population is mixed — even timers carry a callback, odd ones an ID for
+// the engine's handler — and how an event is dispatched must be as
+// invisible to the order as the layout.
 func TestHeapMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -33,9 +37,16 @@ func TestHeapMatchesReference(t *testing.T) {
 		now := 0.0
 
 		fire := func(i int) func() { return func() { got = append(got, i) } }
+		e.HandleIDs(func(id int32) { got = append(got, int(id)) })
 		for i := 0; i < n; i++ {
 			tm := now + rng.Float64()*1000
-			handles[i] = e.At(tm, fire(i))
+			if i%2 == 0 {
+				handles[i] = e.At(tm, fire(i))
+			} else {
+				// One sequence number, like At: IDTimer takes none.
+				handles[i] = e.IDTimer(int32(i))
+				e.Reschedule(handles[i], tm)
+			}
 			ref[i] = refTimer{time: tm, stamp: stamp, armed: true}
 			stamp++
 		}
@@ -185,10 +196,15 @@ func TestArmAllEquivalence(t *testing.T) {
 
 	var b Engine
 	b.At(3, func() { viaBulk = append(viaBulk, -1) })
+	b.HandleIDs(func(id int32) { viaBulk = append(viaBulk, int(id)) })
 	arms := make([]Arm, len(times))
 	for i, tm := range times {
 		i := i
-		arms[i] = Arm{At: tm, Fn: func() { viaBulk = append(viaBulk, i) }}
+		if i%2 == 0 {
+			arms[i] = Arm{At: tm, Fn: func() { viaBulk = append(viaBulk, i) }}
+		} else {
+			arms[i] = Arm{At: tm, ID: int32(i)}
+		}
 	}
 	handles := b.ArmAll(arms)
 	if len(handles) != len(times) {
@@ -246,4 +262,42 @@ func TestArmAllPanicsOnPast(t *testing.T) {
 		}
 	}()
 	e.ArmAll([]Arm{{At: 1, Fn: func() {}}})
+}
+
+// TestMissingHandlerPanicsAtArmTime: an event with neither a callback nor
+// an ID handler to receive it is refused where it is armed, with a message
+// naming what is missing — not by a nil call when it fires.
+func TestMissingHandlerPanicsAtArmTime(t *testing.T) {
+	cases := []struct {
+		name, want string
+		arm        func(e *Engine)
+	}{
+		{"ArmAll", "HandleIDs", func(e *Engine) { e.ArmAll([]Arm{{At: 1, Fn: func() {}}, {At: 2, ID: 7}}) }},
+		{"IDTimer", "HandleIDs", func(e *Engine) { e.IDTimer(7) }},
+		{"At", "nil fn", func(e *Engine) { e.At(1, nil) }},
+	}
+	for _, c := range cases {
+		var e Engine
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
+				}
+			}()
+			c.arm(&e)
+		}()
+		if e.Len() != 0 {
+			t.Errorf("%s queued %d events before panicking", c.name, e.Len())
+		}
+	}
+	// With a handler installed the same arms are legal and reach it.
+	var e Engine
+	var got []int32
+	e.HandleIDs(func(id int32) { got = append(got, id) })
+	e.ArmAll([]Arm{{At: 2, ID: 7}})
+	e.Reschedule(e.IDTimer(9), 1)
+	e.Run()
+	if len(got) != 2 || got[0] != 9 || got[1] != 7 {
+		t.Fatalf("ID handler saw %v, want [9 7]", got)
+	}
 }

@@ -147,9 +147,9 @@ func (a *App) CloneWithID(id int) *App {
 	return &c
 }
 
-// ValidateApps checks every application and that the total node demand fits
-// on the platform (applications have dedicated nodes, so they must all fit
-// simultaneously).
+// ValidateApps checks every application, that IDs are unique, and that the
+// total node demand fits on the platform (applications have dedicated
+// nodes, so they must all fit simultaneously).
 func ValidateApps(p *Platform, apps []*App) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -158,15 +158,26 @@ func ValidateApps(p *Platform, apps []*App) error {
 		return errors.New("platform: no applications")
 	}
 	total := 0
-	seen := make(map[int]bool, len(apps))
-	for _, a := range apps {
+	// Strictly ascending IDs — what every generator produces — are unique
+	// by construction; the set is built only from the first app that
+	// breaks the order.
+	var seen map[int]bool
+	for i, a := range apps {
 		if err := a.Validate(); err != nil {
 			return err
 		}
-		if seen[a.ID] {
-			return fmt.Errorf("duplicate app ID %d", a.ID)
+		if seen == nil && i > 0 && a.ID <= apps[i-1].ID {
+			seen = make(map[int]bool, len(apps))
+			for _, prev := range apps[:i] {
+				seen[prev.ID] = true
+			}
 		}
-		seen[a.ID] = true
+		if seen != nil {
+			if seen[a.ID] {
+				return fmt.Errorf("duplicate app ID %d", a.ID)
+			}
+			seen[a.ID] = true
+		}
 		total += a.Nodes
 	}
 	if total > p.Nodes {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,40 @@ func TestValidateApps(t *testing.T) {
 	}
 	if err := ValidateApps(p, nil); err == nil {
 		t.Error("empty app list accepted")
+	}
+}
+
+// TestValidateAppsUniqueIDs covers both uniqueness proofs: strictly
+// ascending IDs need no set, and the set built from the first app that
+// breaks the order must still see every earlier ID.
+func TestValidateAppsUniqueIDs(t *testing.T) {
+	p := &Platform{Name: "t", Nodes: 100, NodeBW: 1, TotalBW: 10}
+	cases := []struct {
+		name string
+		ids  []int
+		dup  bool
+	}{
+		{"ascending contiguous", []int{0, 1, 2, 3}, false},
+		{"ascending with gaps", []int{3, 10, 11, 500}, false},
+		{"descending", []int{9, 7, 4, 1}, false},
+		{"shuffled", []int{5, 2, 8, 1, 9}, false},
+		{"ascending with repeat", []int{1, 2, 2, 3}, true},
+		{"descending with repeat", []int{9, 7, 7, 1}, true},
+		{"shuffled, repeats the ascending prefix", []int{2, 5, 8, 1, 5}, true},
+		{"shuffled, repeats after the break", []int{2, 5, 1, 9, 1}, true},
+	}
+	for _, c := range cases {
+		var apps []*App
+		for _, id := range c.ids {
+			apps = append(apps, NewPeriodic(id, 1, 10, 5, 1))
+		}
+		err := ValidateApps(p, apps)
+		if c.dup && (err == nil || !strings.Contains(err.Error(), "duplicate app ID")) {
+			t.Errorf("%s %v: err = %v, want a duplicate-ID error", c.name, c.ids, err)
+		}
+		if !c.dup && err != nil {
+			t.Errorf("%s %v: rejected: %v", c.name, c.ids, err)
+		}
 	}
 }
 

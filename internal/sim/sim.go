@@ -32,7 +32,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/telemetry"
-	"repro/internal/xsort"
 )
 
 // Config describes one simulation run.
@@ -203,11 +202,13 @@ type simulation struct {
 	cfg Config
 	p   *platform.Platform
 	// apps is a flat arena, one slot per application in config order
-	// (dense app index). It is sized once and never reallocated, so
-	// interior pointers — timer closures, the byID map, the due list —
-	// stay valid for the life of the run.
+	// (dense app index). It is sized once and never reallocated; every
+	// other structure — kernel timers, the membership sets, the due list,
+	// byID — refers to an application by that index.
 	apps []appState
-	byID map[int]*appState
+	// byID maps application IDs to dense indices. Only lookup reads it,
+	// and builds it on first use.
+	byID map[int]int32
 
 	eng des.Engine // deadline timers (release / compute end / request ready)
 
@@ -258,10 +259,11 @@ type simulation struct {
 	// zeroPending holds apps that entered doingIO at or below volEps:
 	// they are invisible to the allocator and complete at the next event
 	// instant, exactly as the original per-event volume sweep did.
-	zeroPending []*appState
+	zeroPending []int32
 
-	// due is the per-instant firing list, reused across events.
-	due []*appState
+	// due is the per-instant firing list (app indices), reused across
+	// events; the kernel's ID handler appends each fired timer's app.
+	due []int32
 
 	// Scheduler capabilities, resolved once (core.CapsOf).
 	caps core.EngineCaps
@@ -283,10 +285,22 @@ type simulation struct {
 	maxTime float64
 }
 
-func newSimulation(cfg Config) *simulation {
+// newArena allocates a simulation for cfg with everything that scales
+// with the population sized once: the application arena, and the three
+// index lists, each of which holds an application at most once. A run
+// performs a number of allocations independent of len(cfg.Apps).
+func newArena(cfg Config) *simulation {
+	n := len(cfg.Apps)
 	s := &simulation{cfg: cfg, p: cfg.Platform}
-	s.apps = make([]appState, len(cfg.Apps))
-	s.byID = make(map[int]*appState, len(cfg.Apps))
+	s.apps = make([]appState, n)
+	idx := make([]int32, 3*n)
+	s.due, s.candidates, s.active = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
+	s.eng.HandleIDs(s.timerFired)
+	return s
+}
+
+func newSimulation(cfg Config) *simulation {
+	s := newArena(cfg)
 	arms := make([]des.Arm, len(cfg.Apps))
 	for i, a := range cfg.Apps {
 		st := &s.apps[i]
@@ -305,8 +319,7 @@ func newSimulation(cfg Config) *simulation {
 				LastIOEnd: a.Release,
 			},
 		}
-		arms[i] = des.Arm{At: a.Release, Fn: func() { s.due = append(s.due, st) }}
-		s.byID[a.ID] = st
+		arms[i] = des.Arm{At: a.Release, ID: int32(i)}
 	}
 	// Bulk-arm the release timers: sequence numbers are assigned in app
 	// order exactly as the former per-app At loop did, so same-instant
@@ -318,6 +331,27 @@ func newSimulation(cfg Config) *simulation {
 	s.unfinished = len(s.apps)
 	s.finishSetup()
 	return s
+}
+
+// timerFired is the kernel's ID handler: the app whose deadline timer
+// fired joins the current instant's firing list.
+func (s *simulation) timerFired(i int32) { s.due = append(s.due, i) }
+
+// lookup resolves an application ID to its state, nil when the run has no
+// such application. The index is built on first use: a run whose every
+// decision point resolves by a skip, with no tracked apps, never pays for
+// it.
+func (s *simulation) lookup(id int) *appState {
+	if s.byID == nil {
+		s.byID = make(map[int]int32, len(s.apps))
+		for i := range s.apps {
+			s.byID[s.apps[i].app.ID] = int32(i)
+		}
+	}
+	if i, ok := s.byID[id]; ok {
+		return &s.apps[i]
+	}
+	return nil
 }
 
 // DefaultMaxTime returns the time horizon a run of cfg aborts at when
@@ -391,7 +425,7 @@ func (s *simulation) observe() {
 	}
 	pr.Record(b.Finish(s.now, cap.TotalBW, lvl))
 	for _, id := range pr.TrackApps {
-		st := s.byID[id]
+		st := s.lookup(id)
 		if st == nil || st.phase == notReleased || st.phase == finished {
 			continue
 		}
@@ -513,8 +547,6 @@ func (s *simulation) census() string {
 // the scheduler's view slice and the burst-buffer inflow sum — read
 // lazily materialized sorted copies instead, so membership churn never
 // pays more than constant time and skip rounds never pay the sort.
-
-func byIndex(a, b *appState) bool { return a.index < b.index }
 
 func (s *simulation) activeAdd(st *appState) {
 	if st.activePos >= 0 {
@@ -638,7 +670,7 @@ func (s *simulation) beginIO(st *appState) {
 		// Below the allocator's threshold: never a candidate; the
 		// original loop's per-event volume sweep completed it at the
 		// next instant.
-		s.zeroPending = append(s.zeroPending, st)
+		s.zeroPending = append(s.zeroPending, int32(st.index))
 	}
 }
 
@@ -784,12 +816,13 @@ func (s *simulation) fireDue() {
 	for _, i := range s.active {
 		st := &s.apps[i]
 		if st.view.RemVolume <= volEps {
-			s.due = append(s.due, st)
+			s.due = append(s.due, i)
 		}
 	}
 	due := s.due
-	xsort.Stable(due, byIndex)
-	for _, st := range due {
+	slices.Sort(due)
+	for _, i := range due {
+		st := &s.apps[i]
 		switch st.phase {
 		case notReleased:
 			if st.until <= s.now+timeEps {
@@ -950,7 +983,7 @@ func (s *simulation) decide() {
 	}
 	s.round++
 	for _, g := range grants {
-		if st := s.byID[g.AppID]; st != nil {
+		if st := s.lookup(g.AppID); st != nil {
 			st.grantRound = s.round
 			st.grantBW = g.BW
 		}
@@ -1078,9 +1111,10 @@ func (s *simulation) collect() *Result {
 		res.BBPeakLevel = s.buffer.Peak()
 		res.BBFullTime = s.buffer.FullTime()
 	}
+	res.Apps = make([]metrics.AppPerf, len(s.apps))
 	for i := range s.apps {
 		st := &s.apps[i]
-		res.Apps = append(res.Apps, metrics.AppPerf{
+		res.Apps[i] = metrics.AppPerf{
 			ID:        st.app.ID,
 			Name:      st.app.Name,
 			Nodes:     st.app.Nodes,
@@ -1090,7 +1124,7 @@ func (s *simulation) collect() *Result {
 			IdealTime: st.app.DedicatedTime(s.p),
 			IOTime:    st.ioTime,
 			Volume:    st.app.TotalVolume(),
-		})
+		}
 	}
 	res.Summary = metrics.Summarize(res.Apps, s.p.Nodes)
 	if s.cfg.Telemetry != nil {

@@ -281,9 +281,8 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 		byID[as.ID] = as
 	}
 
-	s := &simulation{cfg: cfg, p: cfg.Platform, now: snap.Time}
-	s.apps = make([]appState, len(cfg.Apps))
-	s.byID = make(map[int]*appState, len(cfg.Apps))
+	s := newArena(cfg)
+	s.now = snap.Time
 	s.events = snap.Events
 	s.decisions = snap.Decisions
 	s.skipped = snap.Skipped
@@ -319,6 +318,9 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 				CreditedWork:  as.CreditedWork,
 				CreditedIdeal: as.CreditedIdeal,
 			},
+			// Unscheduled until a pending deadline below, or a later phase
+			// change, arms it.
+			timer: s.eng.IDTimer(int32(i)),
 		}
 		switch as.Phase {
 		case PhaseNotReleased, PhaseComputing, PhaseRequesting:
@@ -341,7 +343,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			// externally built snapshots (a daemon view whose compute
 			// phase should already have ended); it fires at the first
 			// resumed event instant.
-			st.timer = s.eng.At(as.Until, func() { s.due = append(s.due, st) })
+			s.eng.Reschedule(st.timer, as.Until)
 			s.unfinished++
 		case PhaseIO:
 			if st.idx >= len(a.Instances) {
@@ -355,17 +357,14 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			} else {
 				st.view.Phase = core.Pending
 			}
-			st.timer = s.eng.Timer(func() { s.due = append(s.due, st) })
 			s.unfinished++
 		case PhaseFinished:
 			st.phase = finished
 			st.view.Phase = core.Finished
 			st.until = math.Inf(1)
-			st.timer = s.eng.Timer(func() { s.due = append(s.due, st) })
 		default:
 			return nil, fmt.Errorf("sim: app %d has unknown phase %q", a.ID, as.Phase)
 		}
-		s.byID[a.ID] = st
 	}
 
 	// Rebuild the membership sets in index order. The sets themselves
@@ -385,7 +384,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 		} else if st.bw == 0 {
 			// Entered I/O at or below the allocator's threshold: completes
 			// at the next event instant, exactly as captured.
-			s.zeroPending = append(s.zeroPending, st)
+			s.zeroPending = append(s.zeroPending, int32(i))
 		}
 	}
 	if snap.CandVersion > s.candVersion {
