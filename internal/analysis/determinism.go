@@ -14,7 +14,7 @@ import (
 var (
 	determinismScope = []string{
 		"internal/sim", "internal/core", "internal/des",
-		"internal/bb", "internal/periodic",
+		"internal/bb", "internal/periodic", "internal/engine",
 	}
 	mapRangeScope = append([]string{"internal/campaign"}, determinismScope...)
 )

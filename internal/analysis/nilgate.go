@@ -5,10 +5,11 @@ import (
 	"go/types"
 )
 
-// nilgateScope: the two engines carry the "disabled telemetry/tracing =
-// zero cost" contract (docs/observability.md); every capture call they
-// make must therefore be dominated by a nil check of the probe or sink.
-var nilgateScope = []string{"internal/sim", "internal/server"}
+// nilgateScope: the two engines and the decision kernel they share carry
+// the "disabled telemetry/tracing = zero cost" contract
+// (docs/observability.md); every capture call they make must therefore be
+// dominated by a nil check of the probe or sink.
+var nilgateScope = []string{"internal/sim", "internal/server", "internal/engine"}
 
 // NilGate checks that every telemetry/dectrace/health capture call site
 // in the engines is dominated by a nil check of its receiver. Recognized

@@ -45,10 +45,10 @@ func TestTreeIsClean(t *testing.T) {
 // packages and requires it to pass, mirroring the CI job.
 func TestTreeAllocFree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles four packages; skipped in -short")
+		t.Skip("compiles five packages; skipped in -short")
 	}
 	diags, err := AllocFree(repoRoot(t),
-		"./internal/core", "./internal/telemetry", "./internal/server", "./internal/des")
+		"./internal/core", "./internal/telemetry", "./internal/server", "./internal/des", "./internal/engine")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,7 @@ type VetConfig struct {
 var analyzerScopeUnion = []string{
 	"internal/sim", "internal/core", "internal/des", "internal/bb",
 	"internal/periodic", "internal/campaign", "internal/server",
+	"internal/engine",
 }
 
 // RunUnitchecker executes the suite over one vet.cfg compilation unit

@@ -34,9 +34,6 @@ func (h *Heuristic) Name() string {
 	return h.name
 }
 
-// BaseName returns the heuristic name without the Priority prefix.
-func (h *Heuristic) BaseName() string { return h.name }
-
 // WithPriority returns a copy of the heuristic with the Priority constraint
 // enabled.
 func (h *Heuristic) WithPriority() *Heuristic {

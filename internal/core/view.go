@@ -7,8 +7,6 @@
 // for the production Intrepid/Mira I/O schedulers.
 package core
 
-import "repro/internal/platform"
-
 // Phase is the scheduler-visible activity of an application.
 type Phase int
 
@@ -128,10 +126,4 @@ func (v *AppView) WeightedEff(now float64) float64 {
 // allocator at this event.
 func (v *AppView) WantsIO() bool {
 	return (v.Phase == Pending || v.Phase == Transferring) && v.RemVolume > 0
-}
-
-// PeakBW returns the application's bandwidth cap β(k)·b on the platform.
-// Note this is the per-card cap only; the allocator separately enforces B.
-func (v *AppView) PeakBW(p *platform.Platform) float64 {
-	return float64(v.Nodes) * p.NodeBW
 }

@@ -129,17 +129,6 @@ func (p *Profile) Add(t0, t1, bw float64) {
 	}
 }
 
-// Breakpoints returns the availability breakpoints in [t0, T), in order.
-func (p *Profile) Breakpoints(t0 float64) []float64 {
-	var out []float64
-	for _, t := range p.pts {
-		if t >= t0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // NextBreak returns the first breakpoint strictly after t, or T.
 func (p *Profile) NextBreak(t float64) float64 {
 	i := sort.SearchFloat64s(p.pts, math.Nextafter(t, math.Inf(1)))

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dectrace"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/telemetry"
 	"repro/internal/xsort"
@@ -56,15 +57,14 @@ type Config struct {
 // Server is the global I/O scheduler daemon. Create with New, start with
 // Serve (or let ListenAndServe create the listener), stop with Close.
 //
-// The allocation path mirrors the simulator's hot loop (internal/sim): the
-// candidate set is maintained incrementally as messages arrive instead of
-// rescanning all sessions, policy invocations run out of reusable
-// core.Scratch buffers, and decision rounds that are provably redundant
-// under the policy's declared capabilities (Memoizable, Saturating,
-// SingleFullGrant) are resolved without invoking the policy at all. A
-// steady-state round — a progress report that changes no discrete
-// scheduler-visible state — therefore allocates nothing and pushes
-// nothing.
+// The allocation path is the simulator's (internal/sim): the candidate set
+// is maintained incrementally as messages arrive instead of rescanning all
+// sessions, and every round goes through the shared decision kernel
+// (internal/engine), which invokes the policy out of reusable buffers and
+// resolves rounds that are provably redundant under the policy's declared
+// capabilities without invoking it at all. A steady-state round — a
+// progress report that changes no discrete scheduler-visible state —
+// therefore allocates nothing and pushes nothing.
 // Locking is split into three domains so connection lifecycle traffic
 // does not serialize behind allocation rounds:
 //
@@ -104,30 +104,22 @@ type Server struct {
 	// drive the decision path with exact float instants.
 	clock func() float64
 
+	// k is the decision kernel (internal/engine): the active policy, the
+	// candidate-set version, the decision memo, the decision/skip counters.
+	k engine.Kernel
+
 	// candidates holds the sessions whose view currently wants I/O,
-	// ascending by application ID. candVersion bumps on every membership
+	// ascending by application ID. k.Version bumps on every membership
 	// change and on every discrete view-state change (the Memoizable
-	// contract of core/allocate.go, including the rule that applying a
-	// grant which flips Started/Phase/PendingSince invalidates the memo).
-	candidates  []*session
-	candVersion uint64
+	// contract of core/allocate.go).
+	candidates []*session
 	// want caches the candidate views slice handed to the policy; it is
-	// rebuilt only when wantVersion falls behind candVersion.
+	// rebuilt only when wantVersion falls behind k.Version (both start at
+	// zero, with no candidates: the empty cache is right).
 	want        []*core.AppView
 	wantVersion uint64
-	wantValid   bool
 
-	// caps is the policy's capability set, resolved once; scr holds the
-	// policy's reusable allocation buffers.
-	caps core.EngineCaps
-	scr  core.Scratch
-
-	// Decision-skipping state: the candidate-set version of the last
-	// applied decision (capacity is constant for a daemon). decided is
-	// false until one happened.
-	decided        bool
-	decidedVersion uint64
-	round          uint64 // current decision round, for grantRound marking
+	round uint64 // current decision round, for grantRound marking
 
 	// batch collects one round's grant pushes; it is flushed to the
 	// per-session outboxes before the state lock is released, so the
@@ -143,16 +135,7 @@ type Server struct {
 	wakeArmed bool
 	wakeAt    float64
 
-	// Operational counters (see Metrics).
-	rounds    uint64
-	decisions uint64
-	skipped   uint64
-	pushes    uint64
-
-	// Per-reason skip breakdown; the three sum to skipped.
-	skippedMemo       uint64
-	skippedSaturating uint64
-	skippedSingle     uint64
+	pushes uint64 // grant messages enqueued (see Metrics)
 
 	// Advisor bookkeeping (see NoteForecast and SetPolicy).
 	forecasts    uint64
@@ -264,7 +247,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		start: cfg.Now(),
 		conns: make(map[net.Conn]struct{}),
-		caps:  core.CapsOf(cfg.Policy),
+		k:     engine.New(cfg.Policy, cfg.DecisionTrace, false),
 	}
 	s.reg.init()
 	s.clock = func() float64 { return cfg.Now().Sub(s.start).Seconds() }
@@ -382,11 +365,7 @@ func (s *Server) Close() error {
 }
 
 // Decisions returns the number of policy invocations performed.
-func (s *Server) Decisions() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.decisions
-}
+func (s *Server) Decisions() uint64 { return s.Metrics().Decisions }
 
 // Metrics is a snapshot of the daemon's operational counters.
 type Metrics struct {
@@ -398,8 +377,8 @@ type Metrics struct {
 	Candidates int `json:"candidates"`
 	// Rounds counts allocation rounds with a non-empty candidate set;
 	// every round is either a Decision (the policy ran) or Skipped (the
-	// engine proved the outcome without invoking it), so Rounds =
-	// Decisions + Skipped and Rounds matches the per-message decision
+	// engine proved the outcome without invoking it), so Rounds is
+	// derived as Decisions + Skipped and matches the per-message decision
 	// count of the pre-capability daemon.
 	Rounds    uint64 `json:"rounds"`
 	Decisions uint64 `json:"decisions"`
@@ -443,16 +422,17 @@ func (s *Server) Metrics() Metrics {
 		healthState = s.health.State().String()
 		anomalies = s.health.Anomalies()
 	}
+	c := s.k.Counters
 	return Metrics{
-		Policy:                 s.cfg.Policy.Name(),
+		Policy:                 s.k.Policy().Name(),
 		Sessions:               s.reg.count(),
 		Candidates:             len(s.candidates),
-		Rounds:                 s.rounds,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
+		Rounds:                 uint64(c.Decisions + c.Skipped),
+		Decisions:              uint64(c.Decisions),
+		Skipped:                uint64(c.Skipped),
+		SkippedMemo:            uint64(c.SkippedMemo),
+		SkippedSaturating:      uint64(c.SkippedSaturating),
+		SkippedSingleFullGrant: uint64(c.SkippedSingleFullGrant),
 		GrantPushes:            s.pushes,
 		UptimeSeconds:          s.now(),
 		ForecastsRun:           s.forecasts,
@@ -655,7 +635,7 @@ func (s *Server) dispatch(sess *session, msg *Message) error {
 		s.candAddLocked(sess)
 		// The request changed discrete scheduler-visible state whether or
 		// not the session was already a candidate.
-		s.candVersion++
+		s.k.Version++
 	case TypeProgress:
 		if sess.view.WantsIO() && msg.Volume < sess.view.RemVolume {
 			sess.view.RemVolume = msg.Volume
@@ -728,7 +708,7 @@ func (s *Server) candAddLocked(sess *session) {
 	}
 	sess.cand = true
 	s.candidates = xsort.Insert(s.candidates, sess, sessLess)
-	s.candVersion++
+	s.k.Version++
 }
 
 func (s *Server) candRemoveLocked(sess *session) {
@@ -737,7 +717,7 @@ func (s *Server) candRemoveLocked(sess *session) {
 	}
 	sess.cand = false
 	s.candidates = xsort.Remove(s.candidates, sess, sessLess)
-	s.candVersion++
+	s.k.Version++
 }
 
 // candByIDLocked returns the candidate session with the given app ID,
@@ -763,22 +743,6 @@ func (s *Server) candByIDLocked(id int) *session {
 	return nil
 }
 
-// wantViewsLocked returns the candidate views in ID order, rebuilding the
-// cached slice only when the candidate set changed.
-//
-//iosched:allocfree
-func (s *Server) wantViewsLocked() []*core.AppView {
-	if !s.wantValid || s.wantVersion != s.candVersion {
-		s.want = s.want[:0]
-		for _, sess := range s.candidates {
-			s.want = append(s.want, &sess.view)
-		}
-		s.wantVersion = s.candVersion
-		s.wantValid = true
-	}
-	return s.want
-}
-
 // --- decision rounds --------------------------------------------------------
 
 // pushGrant is one outgoing grant with its target session.
@@ -787,11 +751,11 @@ type pushGrant struct {
 	msg  Message
 }
 
-// roundLocked resolves the decision point for the current state, arms or
-// disarms the policy's wake timer and flushes the round's push batch to
-// the session outboxes. kind names what triggered the round (the client
-// message type, "hello", "leave", "wake" or "policy") for the decision
-// trace. Callers hold s.mu.
+// roundLocked resolves the decision point for the current state through
+// the kernel, arms or disarms the policy's wake timer, flushes the round's
+// push batch to the session outboxes and captures the round. kind names
+// what triggered the round (the client message type, "hello", "leave",
+// "wake" or "policy") for the decision trace. Callers hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) roundLocked(kind string) {
@@ -800,37 +764,45 @@ func (s *Server) roundLocked(kind string) {
 		t0 = time.Now()
 	}
 	now := s.now()
-	s.decideLocked(now, kind)
+	s.k.Decide((*roundSet)(s), now, core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}, kind)
 	s.armWakeLocked(now)
 	s.flushLocked()
 	if s.tel != nil {
 		s.roundHist.ObserveDuration(time.Since(t0))
-		s.observeLocked(now)
 	}
-	// Health observes every round (never Due-sampled) so the detectors'
-	// firing sequence is a deterministic function of the round history —
-	// the same points the simulator's observeHealth feeds its monitor.
-	if s.health != nil {
-		s.health.Observe(s.livePointLocked(now))
-	}
+	s.observeLocked(now)
 }
 
-// observeLocked samples the congestion signals into the probe, walking
-// the ID-sorted candidate set — the same signals, computed by the same
-// telemetry.PointBuilder operations, as the simulator's capture site, so
-// the two engines' series agree point for point on equivalent histories
-// (TestDaemonTelemetryMatchesSimulator). Callers hold s.mu.
+// observeLocked is the daemon's one capture site: it feeds the round's
+// congestion signals to the attached telemetry probe and health monitor,
+// building the point at most once. The probe samples (its MinInterval
+// gate); the monitor observes every round, so its firing sequence is a
+// deterministic function of the round history. The point comes from the
+// same telemetry.PointBuilder operations over the same ID-ordered walk as
+// the simulator's capture site, so the two engines agree point for point
+// on equivalent histories (TestDaemonTelemetryMatchesSimulator,
+// TestDaemonHealthMatchesSimulator). Callers hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) observeLocked(now float64) {
-	if s.tel == nil || !s.tel.Due(now) {
+	pr, h := s.tel, s.health
+	if pr != nil && !pr.Due(now) {
+		pr = nil // sampled out at this instant
+	}
+	if pr == nil && h == nil {
 		return
 	}
-	s.tel.Record(s.livePointLocked(now))
-	for _, id := range s.tel.TrackApps {
-		if sess := s.reg.get(id); sess != nil {
-			s.tel.RecordApp(id, now, 1/sess.view.Ratio(now))
+	pt := s.livePointLocked(now)
+	if pr != nil {
+		pr.Record(pt)
+		for _, id := range pr.TrackApps {
+			if sess := s.reg.get(id); sess != nil {
+				pr.RecordApp(id, now, 1/sess.view.Ratio(now))
+			}
 		}
+	}
+	if h != nil {
+		h.Observe(pt)
 	}
 }
 
@@ -846,110 +818,56 @@ func (s *Server) livePointLocked(now float64) telemetry.Point {
 	return b.Finish(now, s.cfg.TotalBW, 0)
 }
 
-// decideLocked runs one allocation round: skip when the outcome is
-// provably the previous one, apply the known uncongested outcome for
-// saturating policies, or invoke the policy. Grant pushes for sessions
-// whose bandwidth verdict changed are appended to s.batch.
+// roundSet is the server's candidate set as the decision kernel sees it
+// (engine.Set): sessions ascending by application ID, every method called
+// under s.mu. A separate type keeps Server's exported method set as it is.
+type roundSet Server
+
+//iosched:allocfree
+func (r *roundSet) Len() int { return len(r.candidates) }
+
+// Views returns the candidate views in ID order, rebuilding the cached
+// slice only when the candidate set changed.
 //
 //iosched:allocfree
-func (s *Server) decideLocked(now float64, kind string) {
-	if len(s.candidates) == 0 {
-		return
-	}
-	s.rounds++
-	cap := core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}
-
-	// Memoizable skip: the policy's output is a pure function of the
-	// candidate identities, their discrete state and the (constant)
-	// capacity; none changed since the applied decision. Discrete changes
-	// bump candVersion — including from inside applyGrantLocked, so a
-	// decision that flips view state invalidates its own memo.
-	if s.caps.Memoizable && s.decided && s.candVersion == s.decidedVersion {
-		s.skipped++
-		s.skippedMemo++
-		if s.cfg.DecisionTrace != nil {
-			// Memo skips omit apps and grants: both are the previous
-			// record's, unchanged by construction.
-			s.emitTraceLocked(core.SkipMemo, now, kind, cap, s.candVersion, nil, nil)
+func (r *roundSet) Views() []*core.AppView {
+	if r.wantVersion != r.k.Version {
+		r.want = r.want[:0]
+		for _, sess := range r.candidates {
+			r.want = append(r.want, &sess.view)
 		}
-		return
+		r.wantVersion = r.k.Version
 	}
+	return r.want
+}
 
-	// Single-candidate fast path: a lone requester receives exactly
-	// min(β·b, B) under every SingleFullGrant policy.
-	if s.caps.SingleFullGrant && len(s.candidates) == 1 {
-		sess := s.candidates[0]
-		bw := float64(sess.view.Nodes) * cap.NodeBW
-		if bw > cap.TotalBW {
-			bw = cap.TotalBW
-		}
-		var apps []dectrace.AppRecord
-		if s.cfg.DecisionTrace != nil {
-			// Capture before applying: applyGrantLocked mutates the view.
-			apps = dectrace.CaptureApps(nil, s.wantViewsLocked())
+//iosched:allocfree
+func (r *roundSet) Demand(nodeBW float64) float64 {
+	demand := 0.0
+	for _, sess := range r.candidates {
+		demand += float64(sess.view.Nodes) * nodeBW
+	}
+	return demand
+}
+
+//iosched:allocfree
+func (r *roundSet) GrantFull(nodeBW, limit, now float64) {
+	s := (*Server)(r)
+	for _, sess := range s.candidates {
+		bw := float64(sess.view.Nodes) * nodeBW
+		if bw > limit {
+			bw = limit
 		}
 		s.applyGrantLocked(sess, bw, now)
-		s.skipped++
-		s.skippedSingle++
-		s.decided = true
-		// Post-apply version is sound: the outcome depends only on the
-		// candidate set, not on the fields applyGrantLocked changed.
-		s.decidedVersion = s.candVersion
-		if s.cfg.DecisionTrace != nil {
-			s.emitTraceLocked(core.SkipSingleFullGrant, now, kind, cap, s.candVersion, apps,
-				//iosched:allocfree-allow trace-enabled branch only: the GrantRecord slice is built under the DecisionTrace != nil gate
-				[]dectrace.GrantRecord{{ID: sess.view.ID, BW: bw}})
-		}
-		return
 	}
+}
 
-	// Saturating fast path: when total demand fits the capacity with a
-	// margin that dwarfs greedy summation rounding, a Saturating policy
-	// grants every candidate exactly β·b whatever its internal order.
-	if s.caps.Saturating {
-		demand := 0.0
-		for _, sess := range s.candidates {
-			demand += float64(sess.view.Nodes) * cap.NodeBW
-		}
-		if demand <= cap.TotalBW*(1-1e-9) {
-			var apps []dectrace.AppRecord
-			var grants []dectrace.GrantRecord
-			if s.cfg.DecisionTrace != nil {
-				apps = dectrace.CaptureApps(nil, s.wantViewsLocked())
-				for _, sess := range s.candidates {
-					grants = append(grants, dectrace.GrantRecord{
-						ID: sess.view.ID, BW: float64(sess.view.Nodes) * cap.NodeBW,
-					})
-				}
-			}
-			for _, sess := range s.candidates {
-				s.applyGrantLocked(sess, float64(sess.view.Nodes)*cap.NodeBW, now)
-			}
-			s.skipped++
-			s.skippedSaturating++
-			s.decided = true
-			s.decidedVersion = s.candVersion
-			if s.cfg.DecisionTrace != nil {
-				s.emitTraceLocked(core.SkipSaturating, now, kind, cap, s.candVersion, apps, grants)
-			}
-			return
-		}
-	}
-
-	want := s.wantViewsLocked()
-	// The decision is computed from the views as they are NOW; capture
-	// the version before application, because applying the grants can
-	// itself change discrete view state (bumping candVersion), and a memo
-	// over the pre-application inputs must not survive that.
-	ver := s.candVersion
-	grants := core.AllocateWith(s.cfg.Policy, &s.scr, now, want, cap)
-	s.decisions++
-	if s.cfg.DecisionTrace != nil {
-		// Views are still pre-application here; the apply loop below is
-		// what mutates them.
-		s.emitTraceLocked(core.SkipNone, now, kind, cap, ver,
-			dectrace.CaptureApps(nil, want), dectrace.CaptureGrants(nil, grants))
-	}
+// Grant stamps the verdict's targets with the round (binary search, no
+// per-round map), then walks the set once.
+//
+//iosched:allocfree
+func (r *roundSet) Grant(grants []core.Grant, now float64) {
+	s := (*Server)(r)
 	s.round++
 	for _, g := range grants {
 		if sess := s.candByIDLocked(g.AppID); sess != nil {
@@ -964,60 +882,17 @@ func (s *Server) decideLocked(now float64, kind string) {
 		}
 		s.applyGrantLocked(sess, bw, now)
 	}
-	s.decided = true
-	s.decidedVersion = ver
-}
-
-// emitTraceLocked builds one decision record and hands it to the attached
-// sink. Callers hold s.mu and pass pre-captured apps/grants (nil for memo
-// skips). Counters in the record are post-round.
-func (s *Server) emitTraceLocked(verdict core.SkipReason, now float64, kind string, cap core.Capacity, ver uint64, apps []dectrace.AppRecord, grants []dectrace.GrantRecord) {
-	if s.cfg.DecisionTrace == nil {
-		return
-	}
-	s.cfg.DecisionTrace.Observe(&dectrace.Record{
-		Seq:         s.rounds,
-		Time:        now,
-		Kind:        kind,
-		Policy:      s.cfg.Policy.Name(),
-		Verdict:     verdict.String(),
-		CandVersion: ver,
-		TotalBW:     cap.TotalBW,
-		NodeBW:      cap.NodeBW,
-		Decisions:   int(s.decisions),
-		Skipped:     int(s.skipped),
-		Apps:        apps,
-		Grants:      grants,
-	})
 }
 
 // applyGrantLocked installs one session's bandwidth verdict, keeps the
-// scheduler-visible phase in step, and enqueues a push when the verdict
-// changed (or was never answered since the last request).
-//
-// Applying a decision can itself change discrete view state a Memoizable
-// policy is allowed to read — Started flips true on a first grant, Phase
-// toggles, a preemption restarts PendingSince. Each such change bumps
-// candVersion so the memo over the pre-application inputs dies with it
-// (the iosched-sim/3 rule shared with internal/sim).
+// scheduler-visible phase in step (the kernel's transition), and enqueues
+// a push when the verdict changed (or was never answered since the last
+// request).
 //
 //iosched:allocfree
 func (s *Server) applyGrantLocked(sess *session, bw, now float64) {
 	sess.bw = bw
-	if bw > 0 {
-		if !sess.view.Started || sess.view.Phase != core.Transferring {
-			s.candVersion++
-		}
-		sess.view.Phase = core.Transferring
-		sess.view.Started = true
-	} else {
-		if sess.view.Phase == core.Transferring {
-			// Preempted: the stall clock restarts now.
-			sess.view.PendingSince = now
-			s.candVersion++
-		}
-		sess.view.Phase = core.Pending
-	}
+	s.k.Transition(&sess.view, bw, now)
 	if sess.pushedValid && bw == sess.pushedBW {
 		return // unchanged verdict; don't spam the client
 	}
@@ -1047,20 +922,16 @@ func (s *Server) flushLocked() {
 // --- wake timer -------------------------------------------------------------
 
 // armWakeLocked (re)arms the policy's self-wake timer, or disarms it when
-// the candidate set is empty (a wake without candidates could only fire a
-// spurious round). Callers hold s.mu.
+// the policy wants none: it is no Waker, or the candidate set is empty (a
+// wake without candidates could only fire a spurious round). Callers hold
+// s.mu.
 //
 //iosched:allocfree
 func (s *Server) armWakeLocked(now float64) {
-	if s.caps.Waker == nil || s.closed.Load() {
+	if s.closed.Load() {
 		return
 	}
-	if len(s.candidates) == 0 {
-		//iosched:allocfree-allow inlined time.Timer.Stop panic-path string; unreachable once the timer exists
-		s.disarmWakeLocked()
-		return
-	}
-	wake, want := s.caps.Waker.NextWake(now, s.wantViewsLocked())
+	wake, want := s.k.NextWake((*roundSet)(s), now)
 	if !want || wake <= now {
 		//iosched:allocfree-allow inlined time.Timer.Stop panic-path string; unreachable once the timer exists
 		s.disarmWakeLocked()

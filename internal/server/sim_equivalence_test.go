@@ -163,7 +163,8 @@ func replayScript(t *testing.T, pol core.Scheduler, B, b float64, script []scrip
 		}
 		res.bw = append(res.bw, snap)
 	}
-	res.rounds, res.decisions, res.skipped = srv.rounds, srv.decisions, srv.skipped
+	c := srv.k.Counters
+	res.rounds, res.decisions, res.skipped = uint64(c.Decisions+c.Skipped), uint64(c.Decisions), uint64(c.Skipped)
 
 	// Drain the writers and collect what each client was pushed.
 	for _, sess := range sessions {

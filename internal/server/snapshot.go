@@ -64,7 +64,7 @@ func (s *Server) Snapshot() *SystemSnapshot {
 	defer s.mu.Unlock()
 	snap := &SystemSnapshot{
 		Time:    s.now(),
-		Policy:  s.cfg.Policy.Name(),
+		Policy:  s.k.Policy().Name(),
 		TotalBW: s.cfg.TotalBW,
 		NodeBW:  s.cfg.NodeBW,
 	}
@@ -108,18 +108,13 @@ func (s *Server) SetPolicy(p core.Scheduler) error {
 	if s.closed.Load() {
 		return errors.New("server: closed")
 	}
-	if p.Name() == s.cfg.Policy.Name() {
+	if p.Name() == s.k.Policy().Name() {
 		return nil // no-op switch; keep the memo and the counters
 	}
-	s.cfg.Policy = p
-	s.caps = core.CapsOf(p)
-	s.decided = false
+	s.k.SetPolicy(p) // drops the memo
 	s.switches++
-	if s.caps.Waker == nil {
-		// The previous policy's self-wake has no meaning under a
-		// non-Waker successor.
-		s.disarmWakeLocked()
-	}
+	// The round also disarms the previous policy's self-wake when the
+	// successor wants none.
 	s.roundLocked("policy")
 	return nil
 }

@@ -10,8 +10,9 @@
 // indexed queue as reschedulable timers, while the I/O side of the model —
 // the transferring set, the candidate set, the unfinished count — is
 // tracked incrementally, so one event costs O(transferring + log apps)
-// instead of the former O(apps) rescans. Scheduler invocations are elided
-// when the engine can prove the decision unchanged (see Result.Skipped).
+// instead of the former O(apps) rescans. Decision points go through the
+// decision kernel shared with the daemon (internal/engine), which elides
+// scheduler invocations it can prove redundant (see Result.Skipped).
 // The refactor preserves the original loop's floating-point operations in
 // their original order; TestCrossEngineEquivalence pins every output to
 // the pre-refactor engine bit for bit.
@@ -28,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dectrace"
 	"repro/internal/des"
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -212,15 +214,13 @@ type simulation struct {
 
 	eng des.Engine // deadline timers (release / compute end / request ready)
 
-	now       float64
-	events    int
-	decisions int
-	skipped   int
+	now    float64
+	events int
 
-	// Per-reason skip breakdown; the three sum to skipped.
-	skippedMemo       int
-	skippedSaturating int
-	skippedSingle     int
+	// k is the decision kernel: policy capabilities, the candidate-set
+	// version, the decision memo and the decision/skip counters
+	// (internal/engine).
+	k engine.Kernel
 
 	// firedKinds is the bitmask of phase transitions the current event
 	// instant fired, reset by fireDue; it names the decision trigger in
@@ -245,13 +245,12 @@ type simulation struct {
 
 	// candidates holds the app indices of the allocator-visible set
 	// (doingIO, entered with more than volEps remaining), unordered.
-	// candVersion bumps on every membership change (and on discrete view
-	// changes in applyGrant); it drives both the decision memo and the
-	// want cache. candSorted/want are the index-ordered view the
+	// k.Version bumps on every membership change (and on discrete view
+	// changes at grant application); it drives both the decision memo and
+	// the want cache. candSorted/want are the index-ordered view the
 	// scheduler sees, materialized only when a decision point actually
 	// reads it — memo and saturating skip rounds never pay the sort.
 	candidates  []int32
-	candVersion uint64
 	candSorted  []int32
 	want        []*core.AppView
 	wantVersion uint64
@@ -265,18 +264,7 @@ type simulation struct {
 	// events; the kernel's ID handler appends each fired timer's app.
 	due []int32
 
-	// Scheduler capabilities, resolved once (core.CapsOf).
-	caps core.EngineCaps
-
-	// Decision-skipping state: the candidate-set version and capacity of
-	// the last applied decision. decided is false until one happened.
-	decided        bool
-	decidedVersion uint64
-	decidedCap     core.Capacity
-
 	round uint64 // current decision round, for grantRound marking
-
-	scr core.Scratch
 
 	// buffer is non-nil when the run stages writes through a burst
 	// buffer.
@@ -291,7 +279,8 @@ type simulation struct {
 // performs a number of allocations independent of len(cfg.Apps).
 func newArena(cfg Config) *simulation {
 	n := len(cfg.Apps)
-	s := &simulation{cfg: cfg, p: cfg.Platform}
+	s := &simulation{cfg: cfg, p: cfg.Platform,
+		k: engine.New(cfg.Scheduler, cfg.DecisionTrace, cfg.CheckGrants)}
 	s.apps = make([]appState, n)
 	idx := make([]int32, 3*n)
 	s.due, s.candidates, s.active = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
@@ -374,11 +363,10 @@ func DefaultMaxTime(cfg Config) float64 {
 }
 
 // finishSetup resolves the config-derived fields shared by the fresh and
-// the snapshot-restore constructors: scheduler capabilities, the time
-// horizon and the burst-buffer model.
+// the snapshot-restore constructors: the time horizon and the burst-buffer
+// model.
 func (s *simulation) finishSetup() {
 	cfg := s.cfg
-	s.caps = core.CapsOf(cfg.Scheduler)
 	s.maxTime = DefaultMaxTime(cfg)
 	if cfg.UseBB {
 		buf := cfg.Platform.BurstBuffer
@@ -389,73 +377,55 @@ func (s *simulation) finishSetup() {
 func (s *simulation) run() (*Result, error) {
 	s.fireDue() // releases due at t = 0
 	s.decide()
-	s.observe()
-	s.observeHealth()
 	if _, err := s.loop(math.Inf(1)); err != nil {
 		return nil, err
 	}
 	return s.collect(), nil
 }
 
-// observe samples the congestion signals into the attached telemetry
-// probe. Called right after every decision point so the sample reflects
-// the grants just applied; nil-gated so a run without telemetry pays
-// only this comparison. The candidate walk follows the index-ordered
-// sorted view — the same order the scheduler sees, and (for workloads
-// whose app IDs ascend with config order, like every generated one) the
-// ID order the daemon's capture site walks, which is what makes the two
-// engines' series bit-comparable.
+// observe is the simulator's one capture site: right after the kernel
+// resolved a decision point (decide is its only caller, so no entry point
+// can skip it) it feeds the point's congestion signals to the attached
+// telemetry probe and health monitor, building the point at most once.
+// The probe samples (its MinInterval gate); the monitor sees every
+// decision point, so its firing sequence depends only on workload and
+// policy. The candidate walk follows the index-ordered view — for
+// workloads whose IDs ascend with config order, like every generated one,
+// the ID order the daemon's capture site walks — which is what makes the
+// two engines' series and firing sequences bit-comparable
+// (TestDaemonTelemetryMatchesSimulator, TestDaemonHealthMatchesSimulator).
+// Nil-gated: a run with neither attached pays only the comparisons.
 func (s *simulation) observe() {
-	pr := s.cfg.Telemetry
-	if pr == nil {
-		return
+	pr, h := s.cfg.Telemetry, s.cfg.Health
+	if pr != nil && !pr.Due(s.now) {
+		pr = nil // sampled out at this instant
 	}
-	if !pr.Due(s.now) {
+	if pr == nil && h == nil {
 		return
 	}
 	cap := s.capacity()
 	var b telemetry.PointBuilder
-	views := s.wantViews()
-	for i, v := range views {
+	for i, v := range s.Views() {
 		b.Add(s.now, v, s.apps[s.candSorted[i]].bw, cap.NodeBW)
 	}
 	lvl := 0.0
 	if s.buffer != nil {
 		lvl = s.buffer.Level()
 	}
-	pr.Record(b.Finish(s.now, cap.TotalBW, lvl))
-	for _, id := range pr.TrackApps {
-		st := s.lookup(id)
-		if st == nil || st.phase == notReleased || st.phase == finished {
-			continue
+	pt := b.Finish(s.now, cap.TotalBW, lvl)
+	if pr != nil {
+		pr.Record(pt)
+		for _, id := range pr.TrackApps {
+			st := s.lookup(id)
+			if st == nil || st.phase == notReleased || st.phase == finished {
+				continue
+			}
+			pr.RecordApp(id, s.now, 1/st.view.Ratio(s.now))
 		}
-		pr.RecordApp(id, s.now, 1/st.view.Ratio(s.now))
 	}
-}
-
-// observeHealth feeds the decision point's congestion signals to the
-// attached health monitor. Unlike observe it is never Due-gated: the
-// detectors see every decision point, so the firing sequence depends
-// only on the workload and policy — the same points the daemon's
-// capture site feeds its monitor, which is what makes the two engines'
-// firing sequences bit-identical (TestDaemonHealthMatchesSimulator).
-// Nil-gated so a run without health pays only this comparison.
-func (s *simulation) observeHealth() {
-	h := s.cfg.Health
-	if h == nil {
-		return
+	if h != nil {
+		h.Observe(pt)
 	}
-	cap := s.capacity()
-	var b telemetry.PointBuilder
-	views := s.wantViews()
-	for i, v := range views {
-		b.Add(s.now, v, s.apps[s.candSorted[i]].bw, cap.NodeBW)
-	}
-	lvl := 0.0
-	if s.buffer != nil {
-		lvl = s.buffer.Level()
-	}
-	h.Observe(b.Finish(s.now, cap.TotalBW, lvl))
 }
 
 // loop processes events until the workload finishes or the next event
@@ -486,12 +456,10 @@ func (s *simulation) loop(stopAt float64) (bool, error) {
 		s.advanceTo(next)
 		s.fireDue()
 		s.decide()
-		s.observe()
-		s.observeHealth()
 		s.events++
 		if s.events > maxEvents {
 			return false, fmt.Errorf("sim: exceeded event budget %d at t=%g (%d decisions, %d skipped; %s)",
-				maxEvents, s.now, s.decisions, s.skipped, s.census())
+				maxEvents, s.now, s.k.Decisions, s.k.Skipped, s.census())
 		}
 	}
 	return true, nil
@@ -576,7 +544,7 @@ func (s *simulation) candAdd(st *appState) {
 	}
 	st.candPos = int32(len(s.candidates))
 	s.candidates = append(s.candidates, int32(st.index))
-	s.candVersion++
+	s.k.Version++
 }
 
 func (s *simulation) candRemove(st *appState) {
@@ -589,7 +557,7 @@ func (s *simulation) candRemove(st *appState) {
 	s.apps[moved].candPos = i
 	s.candidates = s.candidates[:n]
 	st.candPos = -1
-	s.candVersion++
+	s.k.Version++
 }
 
 // sortedActive returns the transferring set ascending by app index,
@@ -604,18 +572,18 @@ func (s *simulation) sortedActive() []int32 {
 	return s.activeSorted
 }
 
-// wantViews returns the candidate views in index order, sorting and
+// Views returns the candidate views in index order, sorting and
 // rebuilding the cached slice only when the candidate set changed since
 // the last decision point that read it.
-func (s *simulation) wantViews() []*core.AppView {
-	if s.wantVersion != s.candVersion || s.want == nil {
+func (s *simulation) Views() []*core.AppView {
+	if s.wantVersion != s.k.Version || s.want == nil {
 		s.candSorted = append(s.candSorted[:0], s.candidates...)
 		slices.Sort(s.candSorted)
 		s.want = s.want[:0]
 		for _, i := range s.candSorted {
 			s.want = append(s.want, &s.apps[i].view)
 		}
-		s.wantVersion = s.candVersion
+		s.wantVersion = s.k.Version
 	}
 	return s.want
 }
@@ -720,22 +688,13 @@ func (s *simulation) nextEventTime() float64 {
 	if t, ok := s.bbFillTime(); ok && t < next {
 		next = t
 	}
-	if t, ok := s.schedulerWake(); ok && t > s.now && t < next {
+	if t, ok := s.k.NextWake(s, s.now); ok && t > s.now && t < next {
 		next = t
 	}
 	if next < s.now {
 		next = s.now
 	}
 	return next
-}
-
-// schedulerWake asks a Waker scheduler for its next self-chosen decision
-// point.
-func (s *simulation) schedulerWake() (float64, bool) {
-	if s.caps.Waker == nil || len(s.candidates) == 0 {
-		return 0, false
-	}
-	return s.caps.Waker.NextWake(s.now, s.wantViews())
 }
 
 // bbFillTime returns the time the burst buffer becomes full at current
@@ -860,127 +819,40 @@ func (s *simulation) capacity() core.Capacity {
 	return c
 }
 
-// decide resolves the decision point at the current instant: skip when the
-// outcome is provably the previous one, apply the known uncongested
-// outcome for saturating policies, or invoke the scheduler.
+// decide resolves the decision point at the current instant through the
+// kernel, then captures it: the two always go together.
 func (s *simulation) decide() {
-	if len(s.candidates) == 0 {
-		return
-	}
-	cap := s.capacity()
+	s.k.Decide(s, s.now, s.capacity(), kindStrings[s.firedKinds])
+	s.observe()
+}
 
-	// Memoizable skip: the policy's output is a pure function of the
-	// candidate set, its discrete state and the capacity; none of them
-	// changed since the applied decision, so re-deciding would re-apply
-	// identical grants. Discrete view fields change at events that bump
-	// candVersion — and at decision application itself (Started, Phase,
-	// PendingSince), where applyGrant bumps candVersion too, so a decision
-	// that changed what a policy may read invalidates its own memo.
-	if s.caps.Memoizable && s.decided && s.candVersion == s.decidedVersion && cap == s.decidedCap {
-		s.skipped++
-		s.skippedMemo++
-		if s.cfg.DecisionTrace != nil {
-			// Memo skips omit apps and grants: both are the previous
-			// record's, unchanged by construction.
-			s.emitTrace(core.SkipMemo, cap, s.candVersion, nil, nil)
-		}
-		return
-	}
+// The simulation is its own candidate set for the kernel (engine.Set,
+// with Views above): dense app indices, unordered. The walks below touch
+// only per-app state and O(1) set membership, so the unordered order is
+// equivalent to the sorted one.
 
-	// Single-candidate fast path: a lone requester receives exactly
-	// min(β·b, B) under every SingleFullGrant policy, whatever the
-	// decision time — the expressions below mirror GreedyAllocate's bit
-	// for bit.
-	if s.caps.SingleFullGrant && len(s.candidates) == 1 {
-		st := &s.apps[s.candidates[0]]
-		bw := float64(st.view.Nodes) * cap.NodeBW
-		if bw > cap.TotalBW {
-			bw = cap.TotalBW
-		}
-		var apps []dectrace.AppRecord
-		if s.cfg.DecisionTrace != nil {
-			// Capture before applying: applyGrant mutates the view.
-			apps = dectrace.CaptureApps(nil, s.wantViews())
+func (s *simulation) Len() int { return len(s.candidates) }
+
+func (s *simulation) Demand(nodeBW float64) float64 {
+	demand := 0.0
+	for _, i := range s.candidates {
+		demand += float64(s.apps[i].view.Nodes) * nodeBW
+	}
+	return demand
+}
+
+func (s *simulation) GrantFull(nodeBW, limit, _ float64) {
+	for _, i := range s.candidates {
+		st := &s.apps[i]
+		bw := float64(st.view.Nodes) * nodeBW
+		if bw > limit {
+			bw = limit
 		}
 		s.applyGrant(st, bw)
-		s.skipped++
-		s.skippedSingle++
-		s.decided = true
-		if s.cfg.DecisionTrace != nil {
-			s.emitTrace(core.SkipSingleFullGrant, cap, s.candVersion, apps,
-				[]dectrace.GrantRecord{{ID: st.view.ID, BW: bw}})
-		}
-		// Recording the post-apply version is sound here: the outcome
-		// depends only on the candidate set and the capacity, not on the
-		// fields applyGrant may have just changed.
-		s.decidedVersion = s.candVersion
-		s.decidedCap = cap
-		return
 	}
+}
 
-	// Saturating fast path: when total demand fits the capacity with a
-	// relative margin that dwarfs greedy summation rounding, a
-	// Saturating policy grants every candidate exactly β·b whatever its
-	// internal order — apply that outcome directly. The same margin is
-	// what lets the sum run over the unordered set: any accumulation
-	// order lands on the same side of the threshold, so skip rounds
-	// never materialize the sorted view.
-	if s.caps.Saturating {
-		demand := 0.0
-		for _, i := range s.candidates {
-			demand += float64(s.apps[i].view.Nodes) * cap.NodeBW
-		}
-		if demand <= cap.TotalBW*(1-1e-9) {
-			var apps []dectrace.AppRecord
-			var grants []dectrace.GrantRecord
-			if s.cfg.DecisionTrace != nil {
-				// Trace records are order-sensitive artifacts: capture
-				// apps and grants from the sorted view.
-				apps = dectrace.CaptureApps(nil, s.wantViews())
-				for _, v := range s.want {
-					grants = append(grants, dectrace.GrantRecord{
-						ID: v.ID, BW: float64(v.Nodes) * cap.NodeBW,
-					})
-				}
-			}
-			for _, i := range s.candidates {
-				st := &s.apps[i]
-				s.applyGrant(st, float64(st.view.Nodes)*cap.NodeBW)
-			}
-			s.skipped++
-			s.skippedSaturating++
-			s.decided = true
-			if s.cfg.DecisionTrace != nil {
-				s.emitTrace(core.SkipSaturating, cap, s.candVersion, apps, grants)
-			}
-			// Post-apply version, as above: with the same set and capacity
-			// the demand is the same, and a Saturating policy re-grants the
-			// full caps whatever discrete state the application changed.
-			s.decidedVersion = s.candVersion
-			s.decidedCap = cap
-			return
-		}
-	}
-
-	want := s.wantViews()
-	// The decision is computed from the views as they are NOW; capture the
-	// version before application, because applying the grants can itself
-	// change discrete view state (bumping candVersion), and a memo over
-	// the pre-application inputs must not survive that.
-	ver := s.candVersion
-	grants := core.AllocateWith(s.cfg.Scheduler, &s.scr, s.now, want, cap)
-	s.decisions++
-	if s.cfg.CheckGrants {
-		if err := core.ValidateGrants(grants, want, cap); err != nil {
-			panic(fmt.Sprintf("sim: scheduler %s: %v", s.cfg.Scheduler.Name(), err))
-		}
-	}
-	if s.cfg.DecisionTrace != nil {
-		// Views are still pre-application here; the apply loop below is
-		// what mutates them.
-		s.emitTrace(core.SkipNone, cap, ver,
-			dectrace.CaptureApps(nil, want), dectrace.CaptureGrants(nil, grants))
-	}
+func (s *simulation) Grant(grants []core.Grant, _ float64) {
 	s.round++
 	for _, g := range grants {
 		if st := s.lookup(g.AppID); st != nil {
@@ -988,8 +860,6 @@ func (s *simulation) decide() {
 			st.grantBW = g.BW
 		}
 	}
-	// applyGrant touches only per-app state and O(1) set membership, so
-	// the unordered walk is equivalent to the former sorted one.
 	for _, i := range s.candidates {
 		st := &s.apps[i]
 		bw := 0.0
@@ -998,9 +868,19 @@ func (s *simulation) decide() {
 		}
 		s.applyGrant(st, bw)
 	}
-	s.decided = true
-	s.decidedVersion = ver
-	s.decidedCap = cap
+}
+
+// applyGrant installs one application's new bandwidth and keeps the
+// scheduler-visible phase (the kernel's transition) and the transferring
+// set in step.
+func (s *simulation) applyGrant(st *appState, bw float64) {
+	st.bw = bw
+	s.k.Transition(&st.view, bw, s.now)
+	if bw > 0 {
+		s.activeAdd(st)
+	} else {
+		s.activeRemove(st)
+	}
 }
 
 // Bits of simulation.firedKinds: which phase transitions the current
@@ -1014,98 +894,32 @@ const (
 
 var kindNames = [...]string{"release", "compute-end", "request-ready", "io-complete"}
 
-// kindString names a fired-transition bitmask for trace records:
+// kindStrings names every fired-transition bitmask for trace records:
 // pipe-joined in firing-phase order, or "timer" when the instant fired no
 // phase transition (a burst-buffer crossing or a scheduler wake).
-func kindString(mask uint8) string {
-	switch mask {
-	case 0:
-		return "timer"
-	case kindRelease:
-		return "release"
-	case kindComputeEnd:
-		return "compute-end"
-	case kindRequestReady:
-		return "request-ready"
-	case kindIOComplete:
-		return "io-complete"
-	}
-	var b strings.Builder
-	for i, name := range kindNames {
-		if mask&(1<<i) != 0 {
-			if b.Len() > 0 {
-				b.WriteByte('|')
+var kindStrings = func() (t [1 << len(kindNames)]string) {
+	t[0] = "timer"
+	for mask := 1; mask < len(t); mask++ {
+		var fired []string
+		for i, name := range kindNames {
+			if mask&(1<<i) != 0 {
+				fired = append(fired, name)
 			}
-			b.WriteString(name)
 		}
+		t[mask] = strings.Join(fired, "|")
 	}
-	return b.String()
-}
-
-// emitTrace builds one decision record and hands it to the attached sink.
-// Callers pass pre-captured apps/grants (nil for memo skips) and the
-// candidate-set version the decision is memoized under.
-func (s *simulation) emitTrace(verdict core.SkipReason, cap core.Capacity, ver uint64, apps []dectrace.AppRecord, grants []dectrace.GrantRecord) {
-	if s.cfg.DecisionTrace == nil {
-		return
-	}
-	s.cfg.DecisionTrace.Observe(&dectrace.Record{
-		Seq:         uint64(s.decisions + s.skipped),
-		Time:        s.now,
-		Kind:        kindString(s.firedKinds),
-		Policy:      s.cfg.Scheduler.Name(),
-		Verdict:     verdict.String(),
-		CandVersion: ver,
-		TotalBW:     cap.TotalBW,
-		NodeBW:      cap.NodeBW,
-		Decisions:   s.decisions,
-		Skipped:     s.skipped,
-		Apps:        apps,
-		Grants:      grants,
-	})
-}
-
-// applyGrant installs one application's new bandwidth and keeps the
-// scheduler-visible phase and the transferring set in step.
-//
-// Applying a decision can itself change discrete view state a Memoizable
-// policy is allowed to read — Started flips true on a first grant (the
-// Priority partition orders on it), Phase toggles, and a preemption
-// restarts PendingSince. Each such change bumps candVersion so the memo
-// over the pre-application inputs dies with it: the next event re-invokes
-// the scheduler exactly where the pre-refactor every-event loop could
-// have decided differently (e.g. a partially-granted application that
-// just became Started overtaking the previously started one under
-// Priority-RoundRobin). Re-applying an unchanged decision bumps nothing,
-// so steady congested states still converge to memo skips.
-func (s *simulation) applyGrant(st *appState, bw float64) {
-	st.bw = bw
-	if bw > 0 {
-		if !st.view.Started || st.view.Phase != core.Transferring {
-			s.candVersion++
-		}
-		st.view.Phase = core.Transferring
-		st.view.Started = true
-		s.activeAdd(st)
-	} else {
-		if st.view.Phase == core.Transferring {
-			// Preempted: the stall clock restarts now.
-			st.view.PendingSince = s.now
-			s.candVersion++
-		}
-		st.view.Phase = core.Pending
-		s.activeRemove(st)
-	}
-}
+	return t
+}()
 
 func (s *simulation) collect() *Result {
+	c := s.k.Counters
 	res := &Result{
 		Events:                 s.events,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
+		Decisions:              c.Decisions,
+		Skipped:                c.Skipped,
+		SkippedMemo:            c.SkippedMemo,
+		SkippedSaturating:      c.SkippedSaturating,
+		SkippedSingleFullGrant: c.SkippedSingleFullGrant,
 	}
 	if s.buffer != nil {
 		res.BBPeakLevel = s.buffer.Peak()

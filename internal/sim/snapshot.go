@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Snapshot is the complete state of a simulation at one processed event
@@ -147,7 +148,6 @@ func RunToSnapshot(cfg Config, stopAt float64) (*Snapshot, error) {
 	s := newSimulation(cfg)
 	s.fireDue()
 	s.decide()
-	s.observe()
 	if _, err := s.loop(stopAt); err != nil {
 		return nil, err
 	}
@@ -167,7 +167,6 @@ func Resume(cfg Config, snap *Snapshot) (*Result, error) {
 	}
 	if snap.RedecideOnResume {
 		s.decide()
-		s.observe()
 	}
 	if _, err := s.loop(math.Inf(1)); err != nil {
 		return nil, err
@@ -187,7 +186,6 @@ func ResumeToSnapshot(cfg Config, snap *Snapshot, stopAt float64) (*Snapshot, er
 	}
 	if snap.RedecideOnResume {
 		s.decide()
-		s.observe()
 	}
 	if _, err := s.loop(stopAt); err != nil {
 		return nil, err
@@ -199,20 +197,21 @@ func ResumeToSnapshot(cfg Config, snap *Snapshot, stopAt float64) (*Snapshot, er
 // iterations: every event at the current instant has fired and the
 // decision point is resolved, so the lists and the memo are consistent.
 func (s *simulation) snapshot() *Snapshot {
+	c := s.k.Counters
 	snap := &Snapshot{
 		Time:                   s.now,
 		Events:                 s.events,
-		Decisions:              s.decisions,
-		Skipped:                s.skipped,
-		SkippedMemo:            s.skippedMemo,
-		SkippedSaturating:      s.skippedSaturating,
-		SkippedSingleFullGrant: s.skippedSingle,
-		CandVersion:            s.candVersion,
+		Decisions:              c.Decisions,
+		Skipped:                c.Skipped,
+		SkippedMemo:            c.SkippedMemo,
+		SkippedSaturating:      c.SkippedSaturating,
+		SkippedSingleFullGrant: c.SkippedSingleFullGrant,
+		CandVersion:            s.k.Version,
 	}
-	if s.decided && s.candVersion == s.decidedVersion {
+	if cap, live := s.k.Memo(); live {
 		snap.MemoValid = true
-		snap.MemoTotalBW = s.decidedCap.TotalBW
-		snap.MemoNodeBW = s.decidedCap.NodeBW
+		snap.MemoTotalBW = cap.TotalBW
+		snap.MemoNodeBW = cap.NodeBW
 	}
 	if s.buffer != nil {
 		snap.BB = &BBState{
@@ -284,11 +283,13 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 	s := newArena(cfg)
 	s.now = snap.Time
 	s.events = snap.Events
-	s.decisions = snap.Decisions
-	s.skipped = snap.Skipped
-	s.skippedMemo = snap.SkippedMemo
-	s.skippedSaturating = snap.SkippedSaturating
-	s.skippedSingle = snap.SkippedSingleFullGrant
+	s.k.Counters = engine.Counters{
+		Decisions:              snap.Decisions,
+		Skipped:                snap.Skipped,
+		SkippedMemo:            snap.SkippedMemo,
+		SkippedSaturating:      snap.SkippedSaturating,
+		SkippedSingleFullGrant: snap.SkippedSingleFullGrant,
+	}
 	for i, a := range cfg.Apps {
 		as, ok := byID[a.ID]
 		if !ok {
@@ -369,7 +370,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 
 	// Rebuild the membership sets in index order. The sets themselves
 	// are unordered now; rebuilding in index order just keeps the
-	// candVersion bump count deterministic and the first sorted-view
+	// version bump count deterministic and the first sorted-view
 	// materialization cheap (already sorted input).
 	for i := range s.apps {
 		st := &s.apps[i]
@@ -387,11 +388,11 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			s.zeroPending = append(s.zeroPending, int32(i))
 		}
 	}
-	if snap.CandVersion > s.candVersion {
-		// Rebuilding the lists above bumped candVersion from zero; jump to
+	if snap.CandVersion > s.k.Version {
+		// Rebuilding the lists above bumped the version from zero; jump to
 		// the captured value so resumed trace records stay continuous. The
-		// engine itself only ever compares versions for equality.
-		s.candVersion = snap.CandVersion
+		// kernel itself only ever compares versions for equality.
+		s.k.Version = snap.CandVersion
 	}
 	s.finishSetup()
 	if snap.BB != nil {
@@ -410,9 +411,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 		// same-policy forecasts — re-deciding over unchanged inputs
 		// reproduces identical grants — and faithful resumes never set
 		// RedecideOnResume, so bit-identity is untouched.
-		s.decided = true
-		s.decidedVersion = s.candVersion
-		s.decidedCap = core.Capacity{TotalBW: snap.MemoTotalBW, NodeBW: snap.MemoNodeBW}
+		s.k.RestoreMemo(core.Capacity{TotalBW: snap.MemoTotalBW, NodeBW: snap.MemoNodeBW})
 	}
 	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/platform"
 )
 
@@ -241,5 +242,71 @@ func TestSnapshotValidation(t *testing.T) {
 	cfgBB.UseBB = true
 	if _, err := Resume(cfgBB, snapBB); err == nil {
 		t.Error("Resume with UseBB but no BB state: want error")
+	}
+}
+
+// TestSplitRunHealthEquivalence pins the capture half of the warm-start
+// contract: a health monitor attached to both halves of a split run sees
+// every decision point the uninterrupted run feeds it — the t = 0 point
+// included — so verdicts and firing counts agree. The first workload is
+// built to show a missed point: both applications are candidates at t = 0
+// (zero-work first instance) and the detectors fire on a single sample.
+func TestSplitRunHealthEquivalence(t *testing.T) {
+	eager := health.Config{JainThreshold: 0.999, JainWindow: 1, CongestionWindow: 1, MinBacklog: 0.5}
+	type healthCase struct {
+		name string
+		cfg  Config
+		hcfg health.Config
+	}
+	cases := []healthCase{{
+		name: "candidates-at-t0",
+		cfg: Config{Platform: testPlatform(), Scheduler: core.RoundRobin(), Apps: []*platform.App{
+			platform.NewPeriodic(0, 20, 0, 50, 2),
+			platform.NewPeriodic(1, 20, 0, 50, 2),
+		}},
+		hcfg: eager,
+	}}
+	for _, c := range equivCases(t) {
+		cases = append(cases, healthCase{name: c.Name, cfg: c.Cfg})
+	}
+	verdict := func(res *Result) string {
+		b, err := json.Marshal(res.Health)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Health = health.New(c.hcfg)
+			full, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "candidates-at-t0" && full.Anomalies == 0 {
+				t.Fatal("uninterrupted run fired no detector; the workload no longer probes t = 0")
+			}
+			want := verdict(full)
+			for _, frac := range []float64{0, 0.25, 0.5, 0.8} {
+				at := frac * full.Summary.Makespan
+				cfg.Health = health.New(c.hcfg)
+				snap, err := RunToSnapshot(cfg, at)
+				if err != nil {
+					t.Fatalf("RunToSnapshot(%g): %v", at, err)
+				}
+				res, err := Resume(cfg, jsonRoundTrip(t, snap))
+				if err != nil {
+					t.Fatalf("Resume(%g): %v", at, err)
+				}
+				if res.Anomalies != full.Anomalies {
+					t.Errorf("split at %g: %d anomalies, uninterrupted %d", at, res.Anomalies, full.Anomalies)
+				}
+				if got := verdict(res); got != want {
+					t.Errorf("split at %g: health\n got %s\nwant %s", at, got, want)
+				}
+			}
+		})
 	}
 }

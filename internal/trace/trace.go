@@ -122,15 +122,6 @@ func (r JobRecord) ToApp(id int) *platform.App {
 	return a
 }
 
-// ToApps converts a slice of records, assigning sequential IDs.
-func ToApps(recs []JobRecord) []*platform.App {
-	apps := make([]*platform.App, len(recs))
-	for i, r := range recs {
-		apps[i] = r.ToApp(i)
-	}
-	return apps
-}
-
 // FromApp builds the record a Darshan-style tool would report for an
 // application that ran from release to finish.
 func FromApp(a *platform.App, jobID int, finish float64) JobRecord {
