@@ -252,3 +252,46 @@ func TestDecisionAccountingUnderSkipping(t *testing.T) {
 		t.Errorf("capable rounds %d != stripped rounds %d for the same load", memo.Rounds, raw.Rounds)
 	}
 }
+
+// BenchmarkCodec prices the wire codec per message, on the three messages
+// the benchmark's server.codec_* probes use: encode is appendMessage into
+// a reused buffer, decode is decodeInto (fast path, then Validate) into a
+// reused message. Recorded in BENCH_baseline.json and gated at 0 allocs.
+func BenchmarkCodec(b *testing.B) {
+	msgs := []struct {
+		name string
+		msg  Message
+	}{
+		{"grant", Message{Type: TypeGrant, AppID: 17, BW: 0.38629032258064516, Seq: 123456}},
+		{"request", Message{Type: TypeRequest, Volume: 1, Work: 812.25, IdealTime: 1012.5}},
+		{"hello", Message{Type: TypeHello, AppID: 17, Nodes: 64}},
+	}
+	for i := range msgs {
+		m := &msgs[i].msg
+		b.Run("encode/"+msgs[i].name, func(b *testing.B) {
+			buf := make([]byte, 0, 256)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := appendMessage(buf[:0], m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for i := range msgs {
+		line, err := encode(&msgs[i].msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		line = line[:len(line)-1]
+		b.Run("decode/"+msgs[i].name, func(b *testing.B) {
+			into := new(Message)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := decodeInto(line, into); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -20,7 +20,8 @@ import (
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex
+	wmu  sync.Mutex
+	wbuf []byte // send's encode buffer, reused under wmu
 
 	mu     sync.Mutex
 	grants chan float64
@@ -198,16 +199,15 @@ func (c *Client) WaitForBandwidth(timeout time.Duration) (float64, error) {
 }
 
 func (c *Client) send(m *Message) error {
-	b, err := encode(m)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	b, err := appendMessage(c.wbuf[:0], m)
 	if err != nil {
 		return err
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.conn.Write(b); err != nil {
-		return err
-	}
-	return nil
+	c.wbuf = b
+	_, err = c.conn.Write(b)
+	return err
 }
 
 func (c *Client) readLoop() {
@@ -216,9 +216,9 @@ func (c *Client) readLoop() {
 	defer c.settleHello(errors.New("server: connection closed before registration ack"))
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	var msg Message // every line decodes into it; nothing below keeps it
 	for sc.Scan() {
-		msg, err := decode(sc.Bytes())
-		if err != nil {
+		if err := decodeInto(sc.Bytes(), &msg); err != nil {
 			c.fail(err)
 			return
 		}

@@ -11,10 +11,7 @@
 // debugging). All bandwidths are GiB/s, volumes GiB, durations seconds.
 package server
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Message types. Clients send hello/request/progress/complete/bye;
 // the server sends welcome/grant/error.
@@ -121,23 +118,5 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// encode serializes a message to one JSON line.
-func encode(m *Message) ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("server: encoding %s: %w", m.Type, err)
-	}
-	return append(b, '\n'), nil
-}
-
-// decode parses one JSON line.
-func decode(line []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, fmt.Errorf("server: decoding message: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
+// encode serializes a message to one freshly allocated JSON line.
+func encode(m *Message) ([]byte, error) { return appendMessage(nil, m) }

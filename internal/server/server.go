@@ -465,7 +465,10 @@ func (s *Server) handle(conn net.Conn, prev, done chan struct{}) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	conn.SetReadDeadline(time.Now().Add(helloTimeout)) //nolint:errcheck // net.Conn deadline
-	msg, err := readHello(sc)
+	// msg is the connection's one message: every line decodes into it, and
+	// neither register nor dispatch keeps a reference.
+	var msg Message
+	err := readHello(sc, &msg)
 	// Register between the predecessor's ticket and our own: this is
 	// what pins registration to accept order.
 	if prev != nil {
@@ -473,7 +476,7 @@ func (s *Server) handle(conn net.Conn, prev, done chan struct{}) {
 	}
 	var sess *session
 	if err == nil {
-		sess, err = s.register(conn, msg)
+		sess, err = s.register(conn, &msg)
 	}
 	close(done)
 	if err != nil {
@@ -484,12 +487,11 @@ func (s *Server) handle(conn net.Conn, prev, done chan struct{}) {
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // net.Conn deadline
 
 	for sc.Scan() {
-		msg, err := decode(sc.Bytes())
-		if err != nil {
+		if err := decodeInto(sc.Bytes(), &msg); err != nil {
 			s.sessionError(sess, err)
 			return
 		}
-		if err := s.dispatch(sess, msg); err != nil {
+		if err := s.dispatch(sess, &msg); err != nil {
 			if errors.Is(err, errBye) {
 				return
 			}
@@ -513,14 +515,14 @@ func settle(prev, done chan struct{}) {
 var errBye = errors.New("server: client said bye")
 
 // readHello reads and decodes the connection's first message.
-func readHello(sc *bufio.Scanner) (*Message, error) {
+func readHello(sc *bufio.Scanner, msg *Message) error {
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("server: reading hello: %w", err)
+			return fmt.Errorf("server: reading hello: %w", err)
 		}
-		return nil, errors.New("server: connection closed before hello")
+		return errors.New("server: connection closed before hello")
 	}
-	return decode(sc.Bytes())
+	return decodeInto(sc.Bytes(), msg)
 }
 
 // register validates the hello, installs the session, starts its writer,
@@ -570,11 +572,14 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 
 // writeLoop is the session's delivery goroutine: it drains the outbox to
 // the connection in enqueue order, which makes the session's grant
-// sequence monotone on the wire.
+// sequence monotone on the wire. Everything one drain found queued is
+// encoded into one reused buffer and leaves in one Write, so a writer
+// that fell behind catches up with one system call, not one per message.
 func (s *Server) writeLoop(sess *session) {
 	defer s.wg.Done()
 	defer close(sess.outDone)
 	var buf []outMsg
+	var wire []byte
 	for {
 		sess.outMu.Lock()
 		for len(sess.outbox) == 0 && !sess.closing {
@@ -586,18 +591,35 @@ func (s *Server) writeLoop(sess *session) {
 		}
 		buf, sess.outbox = sess.outbox, buf[:0]
 		sess.outMu.Unlock()
+		wire = wire[:0]
 		for i := range buf {
-			b, err := encode(&buf[i].msg)
-			if err != nil {
+			var err error
+			if wire, err = appendMessage(wire, &buf[i].msg); err != nil {
 				s.logf("app %d: encode: %v", sess.view.ID, err)
-				continue
+				buf[i].enq = 0 // skipped: nothing to time
 			}
-			if _, err := sess.conn.Write(b); err != nil {
-				s.logf("app %d: push: %v", sess.view.ID, err)
-				return
-			}
-			if sess.pushHist != nil && buf[i].enq != 0 {
-				sess.pushHist.Observe(float64(time.Now().UnixNano()-buf[i].enq) / 1e9)
+		}
+		if len(wire) == 0 {
+			continue
+		}
+		if _, err := sess.conn.Write(wire); err != nil {
+			s.logf("app %d: push: %v", sess.view.ID, err)
+			// Nobody drains this outbox any more: close it, drop what is
+			// queued, and cut the connection so the handler's read fails
+			// and the session leaves through finish now, not when the
+			// client next speaks.
+			sess.outMu.Lock()
+			sess.closing, sess.outbox = true, nil
+			sess.outMu.Unlock()
+			sess.conn.Close()
+			return
+		}
+		if sess.pushHist != nil {
+			now := time.Now().UnixNano()
+			for i := range buf {
+				if buf[i].enq != 0 {
+					sess.pushHist.Observe(float64(now-buf[i].enq) / 1e9)
+				}
 			}
 		}
 	}

@@ -2,12 +2,23 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"strings"
 	"sync"
 	"time"
 )
+
+// decode parses one JSON line into a fresh message, for tests that keep
+// what they read.
+func decode(line []byte) (*Message, error) {
+	m := new(Message)
+	if err := decodeInto(line, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // fakeAddr satisfies net.Addr for the in-memory connections below.
 type fakeAddr struct{}
@@ -47,6 +58,55 @@ func (c *recordConn) RemoteAddr() net.Addr             { return fakeAddr{} }
 func (c *recordConn) SetDeadline(time.Time) error      { return nil }
 func (c *recordConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
+
+// gateConn records each Write as one string and holds the first inside
+// the call until release closes, so a test can queue messages behind a
+// writer that is busy on the socket.
+type gateConn struct {
+	discardConn
+	began   chan struct{} // one token per Write call begun
+	release chan struct{}
+	mu      sync.Mutex
+	writes  []string
+}
+
+func (c *gateConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, string(b))
+	first := len(c.writes) == 1
+	c.mu.Unlock()
+	c.began <- struct{}{}
+	if first {
+		<-c.release
+	}
+	return len(b), nil
+}
+
+// failConn is a peer that went away without a word: every Write fails,
+// and Read delivers the hello, then blocks until Close.
+type failConn struct {
+	discardConn
+	hello  io.Reader
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newFailConn(hello string) *failConn {
+	return &failConn{hello: strings.NewReader(hello), closed: make(chan struct{})}
+}
+
+func (c *failConn) Read(b []byte) (int, error) {
+	if n, _ := c.hello.Read(b); n > 0 {
+		return n, nil
+	}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+func (c *failConn) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+func (c *failConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
 
 // messages decodes every line written so far.
 func (c *recordConn) messages() ([]*Message, error) {
