@@ -89,7 +89,7 @@ func runDeterminism(pass *Pass) {
 				case "sort":
 					if obj.Name() == "Slice" || obj.Name() == "SliceStable" {
 						pass.Reportf(n.Pos(),
-							"sort.%s in a hot path: use internal/xsort.Stable (allocation-free below its threshold, bit-transparent with sort.SliceStable)",
+							"sort.%s in a hot path: use internal/xsort.Stable (allocation-free, bit-transparent with sort.SliceStable)",
 							obj.Name())
 					}
 				}

@@ -29,7 +29,9 @@ type Scheduler interface {
 	// "Priority-MinDilation", "fair-share", ...).
 	Name() string
 	// Allocate returns one grant per application that receives nonzero
-	// bandwidth. apps contains only applications with WantsIO() true.
+	// bandwidth. apps contains only applications with WantsIO() true, in
+	// the engine's deterministic order; a policy must not depend on that
+	// order (IDs are unique: break ties by ID).
 	// The returned grants must respect Σ BW <= cap.TotalBW and per-app
 	// BW <= β·NodeBW.
 	Allocate(now float64, apps []*AppView, cap Capacity) []Grant
@@ -56,17 +58,23 @@ func GreedyAllocateAppend(dst []Grant, order []*AppView, cap Capacity) []Grant {
 		if avail <= 0 {
 			break
 		}
-		bw := float64(v.Nodes) * cap.NodeBW
-		if bw > avail {
-			bw = avail
-		}
-		if bw <= 0 {
-			continue
-		}
-		dst = append(dst, Grant{AppID: v.ID, BW: bw})
-		avail -= bw
+		dst, avail = serve(dst, v, cap.NodeBW, avail)
 	}
 	return dst
+}
+
+// serve is one step of the greedy walk: v is executed as fast as possible,
+// min(β·b, avail). It appends the grant unless it is zero and returns the
+// bandwidth left.
+func serve(dst []Grant, v *AppView, nodeBW, avail float64) ([]Grant, float64) {
+	bw := float64(v.Nodes) * nodeBW
+	if bw > avail {
+		bw = avail
+	}
+	if bw <= 0 {
+		return dst, avail
+	}
+	return append(dst, Grant{AppID: v.ID, BW: bw}), avail - bw
 }
 
 // Scratch holds the reusable buffers of one allocation call chain. An
@@ -76,7 +84,8 @@ func GreedyAllocateAppend(dst []Grant, order []*AppView, cap Capacity) []Grant {
 // allocation-free. The zero value is ready to use. A Scratch must not be
 // shared between goroutines.
 type Scratch struct {
-	order   []*AppView
+	heap    []keyed    // Heuristic's favored-first heap
+	byID    []*AppView // the share policies' ID-ordered copy
 	expired []*AppView
 	rest    []*AppView
 	grants  []Grant

@@ -22,17 +22,36 @@ func benchViews(n int) []*AppView {
 	return apps
 }
 
+// BenchmarkAllocate measures the policy pass itself: AllocateInto on a
+// reused Scratch, as an engine calls it (0 allocs/op at every n). Next to
+// the population sizes it carries the traffic shape measured on the
+// fig6-sweep workload (docs/performance.md): 33 candidates of which the
+// capacity covers 3.5 full caps, so the greedy walk stops early.
 func BenchmarkAllocate(b *testing.B) {
-	cap := Capacity{TotalBW: 64, NodeBW: 0.0125}
-	for _, n := range []int{8, 64, 512} {
-		views := benchViews(n)
-		for _, sched := range []Scheduler{
+	shapes := []struct {
+		n   int
+		cap Capacity
+	}{
+		{8, Capacity{TotalBW: 64, NodeBW: 0.0125}},
+		{33, Capacity{TotalBW: 3.5 * 64 * 0.0125, NodeBW: 0.0125}},
+		{64, Capacity{TotalBW: 64, NodeBW: 0.0125}},
+		{512, Capacity{TotalBW: 64, NodeBW: 0.0125}},
+	}
+	for _, sh := range shapes {
+		views := benchViews(sh.n)
+		if sh.n == 33 {
+			for _, v := range views {
+				v.Nodes = 64 // every cap equal: exactly 3.5 of them fit
+			}
+		}
+		for _, sched := range []ScratchAllocator{
 			MaxSysEff(), MinDilation().WithPriority(), MinMax(0.5), FairShare{},
 		} {
-			b.Run(fmt.Sprintf("%s/apps-%d", sched.Name(), n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/apps-%d", sched.Name(), sh.n), func(b *testing.B) {
+				var scr Scratch
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					grants := sched.Allocate(1000, views, cap)
+					grants := sched.AllocateInto(&scr, 1000, views, sh.cap)
 					if len(grants) == 0 {
 						b.Fatal("no grants")
 					}

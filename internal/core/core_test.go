@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,46 @@ func TestMinMaxThresholdSwitch(t *testing.T) {
 	grants = MinMax(0.05).Allocate(now, []*AppView{a, b}, cap)
 	if grants[0].AppID != 1 {
 		t.Errorf("MinMax(0.05) favored %d, want 1", grants[0].AppID)
+	}
+
+	// The switch is exact on the key-once path: with no ratio strictly
+	// below γ the verdict is MaxSysEff's, with exactly one below it is
+	// MinDilation's — under Priority as well.
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		views := randomViews(rng, 2+rng.Intn(80))
+		now = 300 + rng.Float64()*100
+		ratios := make([]float64, len(views))
+		for i, v := range views {
+			ratios[i] = v.Ratio(now)
+		}
+		sort.Float64s(ratios)
+		if ratios[0] == ratios[1] || ratios[0] <= 0 {
+			continue // need exactly one strictly lowest ratio inside (0, 1]
+		}
+		cap = Capacity{TotalBW: 3 + rng.Float64()*40, NodeBW: 0.25}
+		for _, prio := range []bool{false, true} {
+			variant := func(h *Heuristic) Scheduler {
+				if prio {
+					return h.WithPriority()
+				}
+				return h
+			}
+			for _, c := range []struct {
+				gamma float64
+				same  *Heuristic
+			}{
+				{ratios[0], MaxSysEff()},                      // nobody strictly below γ
+				{math.Nextafter(ratios[0], 2), MinDilation()}, // exactly one below γ
+			} {
+				got := variant(MinMax(c.gamma)).Allocate(now, views, cap)
+				want := variant(c.same).Allocate(now, views, cap)
+				if !sameVerdict(got, want) {
+					t.Fatalf("trial %d: MinMax(%v) priority=%v with lowest ratio %v differs from %s:\n got %v\nwant %v",
+						trial, c.gamma, prio, ratios[0], c.same.Name(), got, want)
+				}
+			}
+		}
 	}
 }
 

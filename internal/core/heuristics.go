@@ -1,26 +1,40 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// OrderFunc sorts the candidate applications into favored-first order.
-// It must be a strict weak ordering and deterministic; ties are broken by
-// application ID before the function sees the slice.
-type OrderFunc func(now float64, apps []*AppView)
+// sortKey names the quantity a Heuristic favors low values of.
+type sortKey uint8
+
+const (
+	// keyLastIOEnd: completion time of the last finished I/O, oldest first.
+	keyLastIOEnd sortKey = iota
+	// keyRatio: ρ̃(t)/ρ(t), the most-slowed application first.
+	keyRatio
+	// keyWeightedEff: β·ρ̃(t), the cheapest efficiency gain first.
+	keyWeightedEff
+	// keyMinMax: keyRatio while some candidate's ratio is below the
+	// heuristic's γ, keyWeightedEff otherwise.
+	keyMinMax
+)
 
 // Heuristic is an online scheduler built from a favored-first ordering and
 // the greedy allocation of Section 3.1. If Priority is set, applications
 // whose current transfer already started are kept ahead of all others
 // (each group internally ordered by the heuristic) — the disk-locality
 // variant used on machines with spinning disks such as Vesta.
+//
+// The favored-first order is total — (Priority: started first), then key
+// ascending, then ID ascending — so a verdict depends neither on the order
+// of the candidate slice nor on a sorting algorithm. (Keys are finite for
+// finite views; a NaN key or capacity is a caller error.)
 type Heuristic struct {
 	name     string
-	order    OrderFunc
+	key      sortKey
+	gamma    float64 // keyMinMax's threshold
 	Priority bool
-
-	// memoizable marks orderings that read only discrete AppView state
-	// (LastIOEnd, Started, ...) and never the decision time, so engines
-	// may reuse a decision while those inputs are unchanged.
-	memoizable bool
 }
 
 var _ Scheduler = (*Heuristic)(nil)
@@ -42,14 +56,15 @@ func (h *Heuristic) WithPriority() *Heuristic {
 	return &c
 }
 
-// Memoizable implements the engine capability: true only for orderings
-// that are pure functions of discrete application state. The Priority
-// partition reads Started, which is also discrete, so it preserves the
-// property — but note Started flips true when a grant is first applied,
-// i.e. as a consequence of the decision itself, so engines must count
-// decision application among the events that invalidate a memo (see the
-// Memoizable contract in allocate.go).
-func (h *Heuristic) Memoizable() bool { return h.memoizable }
+// Memoizable implements the engine capability: true only for the key that
+// reads discrete AppView state (LastIOEnd) and never the decision time, so
+// engines may reuse a decision while those inputs are unchanged. The
+// Priority partition reads Started, which is also discrete, so it
+// preserves the property — but note Started flips true when a grant is
+// first applied, i.e. as a consequence of the decision itself, so engines
+// must count decision application among the events that invalidate a memo
+// (see the Memoizable contract in allocate.go).
+func (h *Heuristic) Memoizable() bool { return h.key == keyLastIOEnd }
 
 // Saturating implements the engine capability: greedy favored-first
 // allocation hands every candidate its full cap when the total demand
@@ -60,39 +75,122 @@ func (h *Heuristic) Saturating() bool { return true }
 // single candidate is min(β·b, B) under any ordering.
 func (h *Heuristic) SingleFullGrant() bool { return true }
 
-// Allocate implements Scheduler: sort candidates favored-first, then grant
-// greedily.
+// Allocate implements Scheduler: favored-first greedy grants.
 func (h *Heuristic) Allocate(now float64, apps []*AppView, cap Capacity) []Grant {
 	var scr Scratch
 	return h.AllocateInto(&scr, now, apps, cap)
 }
 
+// keyed is one candidate in a favored-first heap: its sort key and its
+// position in the candidate slice.
+type keyed struct {
+	key float64
+	pos int32
+}
+
 // AllocateInto implements ScratchAllocator: identical decisions to
-// Allocate, reusing the scratch's order and grant buffers.
+// Allocate, reusing the scratch's heap and grant buffers. Each key is
+// evaluated once; the started candidates (Priority only) and the rest are
+// heapified on (key, ID) one after the other, and the greedy walk of
+// Section 3.1 (GreedyAllocate's loop) pops only until the capacity is
+// gone: O(n + k·log n) for k granted applications, one path for every n.
 //
 //iosched:allocfree
 func (h *Heuristic) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	scr.order = append(scr.order[:0], apps...)
-	order := scr.order
-	sortViewsStable(order, func(a, b *AppView) bool { return a.ID < b.ID })
-	h.order(now, order)
-	if h.Priority {
-		// Stable partition: started transfers first, preserving the
-		// heuristic order inside each group.
-		sortViewsStable(order, func(a, b *AppView) bool {
-			return a.Started && !b.Started
-		})
+	entries, started := h.fillKeys(scr, now, apps)
+	grants := scr.grants[:0]
+	avail := cap.TotalBW
+	for _, heap := range [2][]keyed{entries[:started], entries[started:]} {
+		if avail <= 0 {
+			break
+		}
+		for i := len(heap)/2 - 1; i >= 0; i-- {
+			siftDown(heap, apps, i, heap[i])
+		}
+		for len(heap) > 0 && avail > 0 {
+			v := apps[heap[0].pos]
+			last := len(heap) - 1
+			x := heap[last]
+			heap = heap[:last]
+			if last > 0 {
+				siftDown(heap, apps, 0, x)
+			}
+			grants, avail = serve(grants, v, cap.NodeBW, avail)
+		}
 	}
-	scr.grants = GreedyAllocateAppend(scr.grants[:0], order, cap)
-	return scr.grants
+	scr.grants = grants
+	return grants
 }
 
-// byLastIOEnd orders by the completion time of the last finished I/O,
-// oldest first.
-func byLastIOEnd(now float64, apps []*AppView) {
-	sortViewsStable(apps, func(a, b *AppView) bool {
-		return a.LastIOEnd < b.LastIOEnd
-	})
+// fillKeys evaluates every candidate's sort key, once, into the scratch's
+// heap storage: under Priority the started candidates from the front and
+// the others from the back. It returns the entries and where the two
+// groups meet (0 without Priority).
+//
+//iosched:allocfree
+func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keyed, int) {
+	// Sized by the capacity of the caller's slice: an engine that presized
+	// its view never sees the heap regrow behind it.
+	//iosched:allocfree-allow grows to the run's high-water candidate capacity, then reused
+	scr.heap = grow(scr.heap, cap(apps))
+	entries := scr.heap[:len(apps)]
+	below := false
+	lo, hi := 0, len(entries)
+	for i, v := range apps {
+		var k float64
+		switch h.key {
+		case keyLastIOEnd:
+			k = v.LastIOEnd
+		case keyWeightedEff:
+			k = v.WeightedEff(now)
+		default: // keyRatio, keyMinMax
+			k = v.Ratio(now)
+			below = below || k < h.gamma
+		}
+		if h.Priority && v.Started {
+			entries[lo] = keyed{key: k, pos: int32(i)}
+			lo++
+		} else {
+			hi--
+			entries[hi] = keyed{key: k, pos: int32(i)}
+		}
+	}
+	if h.key == keyMinMax && !below {
+		for i := range entries {
+			entries[i].key = apps[entries[i].pos].WeightedEff(now)
+		}
+	}
+	return entries, lo
+}
+
+// favored reports whether a comes strictly before b in the favored-first
+// order of one heap. IDs are unique, so the order is total.
+func favored(apps []*AppView, a, b keyed) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return apps[a.pos].ID < apps[b.pos].ID
+}
+
+// siftDown places x into the min-heap (by favored) at or below hole i.
+//
+//iosched:allocfree
+func siftDown(heap []keyed, apps []*AppView, i int, x keyed) {
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
+			break
+		}
+		if c+1 < len(heap) && favored(apps, heap[c+1], heap[c]) {
+			c++
+		}
+		if !favored(apps, heap[c], x) {
+			break
+		}
+		heap[i] = heap[c]
+		i = c
+	}
+	heap[i] = x
 }
 
 // RoundRobin returns the paper's comparison baseline heuristic: FCFS with a
@@ -100,38 +198,20 @@ func byLastIOEnd(now float64, apps []*AppView) {
 // congestion the application that finished the I/O of its last instance the
 // longest time ago is favored.
 func RoundRobin() *Heuristic {
-	return &Heuristic{
-		name:       "RoundRobin",
-		order:      byLastIOEnd,
-		memoizable: true,
-	}
+	return &Heuristic{name: "RoundRobin", key: keyLastIOEnd}
 }
 
 // MinDilation returns the user-oriented heuristic: favor applications with
 // low ρ̃(t)/ρ(t), i.e. the applications currently suffering the largest
 // slowdown.
 func MinDilation() *Heuristic {
-	return &Heuristic{
-		name: "MinDilation",
-		order: func(now float64, apps []*AppView) {
-			sortViewsStable(apps, func(a, b *AppView) bool {
-				return a.Ratio(now) < b.Ratio(now)
-			})
-		},
-	}
+	return &Heuristic{name: "MinDilation", key: keyRatio}
 }
 
 // MaxSysEff returns the CPU-oriented heuristic: favor applications with low
 // β(k)·ρ̃(k)(t), the cheapest way to raise the platform-wide efficiency sum.
 func MaxSysEff() *Heuristic {
-	return &Heuristic{
-		name: "MaxSysEff",
-		order: func(now float64, apps []*AppView) {
-			sortViewsStable(apps, func(a, b *AppView) bool {
-				return a.WeightedEff(now) < b.WeightedEff(now)
-			})
-		},
-	}
+	return &Heuristic{name: "MaxSysEff", key: keyWeightedEff}
 }
 
 // MinMax returns the trade-off heuristic MinMax-γ: behave like MaxSysEff
@@ -142,27 +222,7 @@ func MinMax(gamma float64) *Heuristic {
 	if gamma < 0 || gamma > 1 {
 		panic(fmt.Sprintf("core: MinMax gamma = %g out of [0,1]", gamma))
 	}
-	return &Heuristic{
-		name: fmt.Sprintf("MinMax-%.2g", gamma),
-		order: func(now float64, apps []*AppView) {
-			below := false
-			for _, v := range apps {
-				if v.Ratio(now) < gamma {
-					below = true
-					break
-				}
-			}
-			if below {
-				sortViewsStable(apps, func(a, b *AppView) bool {
-					return a.Ratio(now) < b.Ratio(now)
-				})
-				return
-			}
-			sortViewsStable(apps, func(a, b *AppView) bool {
-				return a.WeightedEff(now) < b.WeightedEff(now)
-			})
-		},
-	}
+	return &Heuristic{name: fmt.Sprintf("MinMax-%.2g", gamma), key: keyMinMax, gamma: gamma}
 }
 
 // FairShare is the baseline standing in for the production server-side
@@ -197,12 +257,12 @@ func (f FairShare) Allocate(now float64, apps []*AppView, cap Capacity) []Grant 
 
 // AllocateInto implements ScratchAllocator.
 func (FairShare) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	scr.order = append(scr.order[:0], apps...)
-	order := scr.order
+	scr.byID = append(scr.byID[:0], apps...)
+	order := scr.byID
 	sortViewsStable(order, func(a, b *AppView) bool { return a.ID < b.ID })
-	scr.caps = growFloats(scr.caps, len(order))
-	scr.shares = growFloats(scr.shares, len(order))
-	scr.idx = growInts(scr.idx, len(order))
+	scr.caps = grow(scr.caps, len(order))
+	scr.shares = grow(scr.shares, len(order))
+	scr.idx = grow(scr.idx, len(order))
 	for i, v := range order {
 		scr.caps[i] = float64(v.Nodes) * cap.NodeBW
 	}
@@ -244,13 +304,13 @@ func (p ProportionalShare) Allocate(now float64, apps []*AppView, cap Capacity) 
 
 // AllocateInto implements ScratchAllocator.
 func (ProportionalShare) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	scr.order = append(scr.order[:0], apps...)
-	order := scr.order
+	scr.byID = append(scr.byID[:0], apps...)
+	order := scr.byID
 	sortViewsStable(order, func(a, b *AppView) bool { return a.ID < b.ID })
-	scr.caps = growFloats(scr.caps, len(order))
-	scr.weights = growFloats(scr.weights, len(order))
-	scr.shares = growFloats(scr.shares, len(order))
-	scr.idx = growInts(scr.idx, len(order))
+	scr.caps = grow(scr.caps, len(order))
+	scr.weights = grow(scr.weights, len(order))
+	scr.shares = grow(scr.shares, len(order))
+	scr.idx = grow(scr.idx, len(order))
 	for i, v := range order {
 		scr.caps[i] = float64(v.Nodes) * cap.NodeBW
 		scr.weights[i] = float64(v.Nodes)
@@ -311,22 +371,11 @@ func (Exclusive) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Ca
 	return scr.grants
 }
 
-// growFloats returns a float64 scratch slice of length n, reusing s's
-// storage when it is large enough.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts returns an int scratch slice of length n, reusing s's storage
-// when it is large enough.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+// grow returns a scratch slice of length n with unspecified contents,
+// reusing s's storage when it is large enough and growing it the amortized
+// way append does otherwise: candidate sets grow one application at a time.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // AllHeuristics returns the full set evaluated in Figure 6: the four base

@@ -25,7 +25,10 @@ type Set interface {
 	Len() int
 	// Demand returns Σ β·b over the candidates, accumulated in any order.
 	Demand(nodeBW float64) float64
-	// Views returns the candidates in policy order (ascending ID).
+	// Views returns the candidates in the engine's deterministic order
+	// (sim: config index; server: ascending ID). A policy must not depend
+	// on it: every shipped policy orders by a total order of its own, ties
+	// by ID (core's TestVerdictIndependentOfInputOrder).
 	Views() []*core.AppView
 	// GrantFull applies min(β·b, limit) to every candidate.
 	GrantFull(nodeBW, limit, now float64)

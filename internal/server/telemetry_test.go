@@ -15,14 +15,20 @@ import (
 // allocation-free. The disabled half is TestSteadyRoundAllocationFree.
 func TestSteadyRoundTelemetryAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		pol  core.Scheduler
+		name     string
+		pol      core.Scheduler
+		sessions int
 	}{
-		{"memoized-fair-share", core.FairShare{}},
-		{"full-MaxSysEff", core.MaxSysEff()},
+		{"memoized-fair-share", core.FairShare{}, 32},
+		{"full-MaxSysEff", core.MaxSysEff(), 32},
+		// Past xsort's insertion threshold (64): the heuristics' heap and
+		// the share policies' large-n stable sort stay allocation-free.
+		// Timeout is not memoizable, so fair-share re-sorts every round.
+		{"full-MaxSysEff-96", core.MaxSysEff(), 96},
+		{"full-Timeout-fair-share-96", core.NewTimeout(core.FairShare{}, 1e9), 96},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const sessions = 32
+			sessions := tc.sessions
 			// MaxPoints small enough that the measured rounds wrap the
 			// ring, so the overwrite path is what gets measured.
 			probe := &telemetry.Probe{MaxPoints: 64}

@@ -54,13 +54,19 @@ func TestRunAllocationsIndependentOfPopulation(t *testing.T) {
 	}
 
 	// A run that never invokes the scheduler and tracks no application
-	// never builds the ID index.
-	s := newSimulation(cohortPopulation(1000))
+	// never builds the ID index, and never reads the candidate view: the
+	// view cache stays unbuilt and unpatched, so its membership changes
+	// cost O(1) each.
+	s := newSimulation(cohortPopulation(8000))
 	if _, err := s.run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.byID != nil {
 		t.Error("skip-only run built the ID index")
+	}
+	if s.want != nil || s.candSorted != nil || s.view != viewStale {
+		t.Errorf("skip-only run touched the view cache: %d views, %d indices, state %d",
+			len(s.want), len(s.candSorted), s.view)
 	}
 }
 

@@ -246,14 +246,15 @@ type simulation struct {
 	// candidates holds the app indices of the allocator-visible set
 	// (doingIO, entered with more than volEps remaining), unordered.
 	// k.Version bumps on every membership change (and on discrete view
-	// changes at grant application); it drives both the decision memo and
-	// the want cache. candSorted/want are the index-ordered view the
-	// scheduler sees, materialized only when a decision point actually
-	// reads it — memo and saturating skip rounds never pay the sort.
-	candidates  []int32
-	candSorted  []int32
-	want        []*core.AppView
-	wantVersion uint64
+	// changes at grant application) and drives the decision memo.
+	// candSorted/want are the index-ordered view the scheduler sees,
+	// materialized when a decision point first reads it — memo and
+	// saturating skip rounds never pay for it — and from then on
+	// maintained across membership changes (viewState), not rebuilt.
+	candidates []int32
+	candSorted []int32
+	want       []*core.AppView
+	view       viewState
 
 	// zeroPending holds apps that entered doingIO at or below volEps:
 	// they are invisible to the allocator and complete at the next event
@@ -513,8 +514,9 @@ func (s *simulation) census() string {
 // add (append) and O(1) remove (swap with the last element); each app
 // stores its slot so no search is needed. Order-sensitive consumers —
 // the scheduler's view slice and the burst-buffer inflow sum — read
-// lazily materialized sorted copies instead, so membership churn never
-// pays more than constant time and skip rounds never pay the sort.
+// lazily materialized sorted copies instead, so skip rounds never pay a
+// sort; the view slice, read at every congested decision point, is then
+// patched in place at most once per read (viewChanged).
 
 func (s *simulation) activeAdd(st *appState) {
 	if st.activePos >= 0 {
@@ -545,6 +547,7 @@ func (s *simulation) candAdd(st *appState) {
 	st.candPos = int32(len(s.candidates))
 	s.candidates = append(s.candidates, int32(st.index))
 	s.k.Version++
+	s.viewChanged(st, true)
 }
 
 func (s *simulation) candRemove(st *appState) {
@@ -558,6 +561,50 @@ func (s *simulation) candRemove(st *appState) {
 	s.candidates = s.candidates[:n]
 	st.candPos = -1
 	s.k.Version++
+	s.viewChanged(st, false)
+}
+
+// viewState says how the cached index-ordered view (candSorted/want)
+// stands against the candidate set. It follows membership only: a
+// Kernel.Transition bump changes fields of the views, which the cache
+// holds by pointer.
+type viewState uint8
+
+const (
+	// viewStale: membership changed behind the cache; the next read
+	// rebuilds it.
+	viewStale viewState = iota
+	// viewRead: current, and read since it was last built or patched; a
+	// membership change patches it in place.
+	viewRead
+	// viewPatched: current, patched since the last read; a second change
+	// before a read only marks it stale.
+	viewPatched
+)
+
+// viewChanged keeps the cached view in step with one membership change:
+// st joined (add) or left the candidate set. At most one O(candidates)
+// patch runs per read, so a run that never reads the view (every decision
+// point a skip) pays O(1) per membership change — this inlined test — and
+// a congested run, which reads at every decision point, never sorts again.
+func (s *simulation) viewChanged(st *appState, add bool) {
+	if s.view == viewRead {
+		s.patchView(st, add)
+	} else {
+		s.view = viewStale
+	}
+}
+
+func (s *simulation) patchView(st *appState, add bool) {
+	s.view = viewPatched
+	at, _ := slices.BinarySearch(s.candSorted, int32(st.index))
+	if add {
+		s.candSorted = slices.Insert(s.candSorted, at, int32(st.index))
+		s.want = slices.Insert(s.want, at, &st.view)
+	} else {
+		s.candSorted = slices.Delete(s.candSorted, at, at+1)
+		s.want = slices.Delete(s.want, at, at+1)
+	}
 }
 
 // sortedActive returns the transferring set ascending by app index,
@@ -572,19 +619,25 @@ func (s *simulation) sortedActive() []int32 {
 	return s.activeSorted
 }
 
-// Views returns the candidate views in index order, sorting and
-// rebuilding the cached slice only when the candidate set changed since
-// the last decision point that read it.
+// Views returns the candidate views in index order. A stale cache is
+// rebuilt from the membership set; its storage is sized for the whole
+// population on first use — like the arena's index lists it holds an
+// application at most once — so neither a rebuild nor a patch ever
+// reallocates.
 func (s *simulation) Views() []*core.AppView {
-	if s.wantVersion != s.k.Version || s.want == nil {
+	if s.view == viewStale {
+		if s.want == nil {
+			s.candSorted = make([]int32, 0, len(s.apps))
+			s.want = make([]*core.AppView, 0, len(s.apps))
+		}
 		s.candSorted = append(s.candSorted[:0], s.candidates...)
 		slices.Sort(s.candSorted)
 		s.want = s.want[:0]
 		for _, i := range s.candSorted {
 			s.want = append(s.want, &s.apps[i].view)
 		}
-		s.wantVersion = s.k.Version
 	}
+	s.view = viewRead
 	return s.want
 }
 

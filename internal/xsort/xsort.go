@@ -1,30 +1,40 @@
 // Package xsort provides the ordered-slice primitives the hot paths
-// share: a stable sort tuned for scheduling decisions (allocation-free
-// binary-insertion sort on small slices, where it beats sort.SliceStable's
-// closure and reflect-based swapper; delegation to sort.SliceStable above
-// the threshold, where insertion's O(n²) element moves would dominate) and
-// a lower-bound search for maintaining sorted lists in place. Stable sorts
+// share: an in-place, allocation-free stable sort tuned for scheduling
+// decisions (binary-insertion sort on small slices, where it beats the
+// library sorts' per-comparison overhead; slices.SortStableFunc above the
+// threshold, where insertion's O(n²) element moves would dominate) and a
+// lower-bound search for maintaining sorted lists in place. Stable sorts
 // have a unique output, so every path through Stable is bit-transparent
 // with sort.SliceStable.
 package xsort
 
-import "sort"
+import "slices"
 
 // insertionMaxLen bounds the binary-insertion path: scheduling decisions
 // sort a handful of candidates, where shifting a few pointer-sized
-// elements is cheaper than SliceStable's reflect machinery. Beyond it the
-// quadratic move count loses, so Stable switches to sort.SliceStable.
+// elements is cheapest. Beyond it the quadratic move count loses, so
+// Stable switches to slices.SortStableFunc.
 const insertionMaxLen = 64
 
-// Stable sorts v in place, stably. Slices up to insertionMaxLen elements
-// are sorted allocation-free by binary insertion; longer slices delegate
-// to sort.SliceStable (O(n log n) comparisons, O(n log² n) moves).
+// Stable sorts v in place, stably and without allocating. Slices up to
+// insertionMaxLen elements are sorted by binary insertion; longer slices
+// by slices.SortStableFunc (O(n log n) comparisons, O(n log² n) moves) —
+// not sort.SliceStable, which boxes the slice and builds a reflect
+// swapper: two heap objects per call.
 func Stable[T any](v []T, less func(a, b T) bool) {
 	if len(v) <= insertionMaxLen {
 		insertionStable(v, less)
 		return
 	}
-	sort.SliceStable(v, func(i, j int) bool { return less(v[i], v[j]) })
+	slices.SortStableFunc(v, func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // insertionStable is a stable binary-insertion sort.

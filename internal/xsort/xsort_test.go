@@ -52,6 +52,26 @@ func TestStableLargeReverseSorted(t *testing.T) {
 	}
 }
 
+// TestStableAllocationFree pins both branches at zero heap objects per
+// call: every policy round sorts through Stable under an
+// //iosched:allocfree banner, also above the insertion threshold.
+func TestStableAllocationFree(t *testing.T) {
+	for _, n := range []int{insertionMaxLen, insertionMaxLen + 1, 1000} {
+		src := make([]int, n)
+		for i := range src {
+			src[i] = (i * 7919) % 13
+		}
+		v := make([]int, n)
+		less := func(a, b int) bool { return a < b }
+		if avg := testing.AllocsPerRun(20, func() {
+			copy(v, src)
+			Stable(v, less)
+		}); avg != 0 {
+			t.Errorf("n=%d: %.1f allocs per Stable call, want 0", n, avg)
+		}
+	}
+}
+
 func TestInsertRemoveKeepSorted(t *testing.T) {
 	less := func(a, b int) bool { return a < b }
 	rng := rand.New(rand.NewSource(9))
