@@ -4,10 +4,11 @@
 // through one Kernel. The kernel owns what is policy soundness: the
 // policy's capabilities, the candidate-set version, the decision memo, the
 // three skip rules and their counters, grant validation, the
-// scheduler-visible view transition and the decision-trace record. An
-// engine keeps its candidate container, its ID lookup and the side effect
-// of a verdict, behind Set. internal/cluster stays separate: see the
-// verdict in docs/architecture.md.
+// scheduler-visible view transition and the decision-trace record — and
+// the candidate set itself (Candidates): membership, the ordered view and
+// grant matching. An engine keeps only the side effect of a verdict,
+// behind Set. internal/cluster stays separate: see the verdict in
+// docs/architecture.md.
 package engine
 
 import (
@@ -17,23 +18,12 @@ import (
 	"repro/internal/dectrace"
 )
 
-// Set is an engine's candidate set — the applications that want I/O — as
-// the kernel sees it. The loops stay in the engine: a decision costs at
-// most three calls, none per candidate. Every bandwidth an implementation
-// applies goes through Kernel.Transition.
+// Set is what differs between the engines: the side effect of one
+// candidate's bandwidth verdict. Apply receives every bandwidth a decision
+// point assigns, slot by slot; an implementation passes it through
+// Kernel.Transition.
 type Set interface {
-	Len() int
-	// Demand returns Σ β·b over the candidates, accumulated in any order.
-	Demand(nodeBW float64) float64
-	// Views returns the candidates in the engine's deterministic order
-	// (sim: config index; server: ascending ID). A policy must not depend
-	// on it: every shipped policy orders by a total order of its own, ties
-	// by ID (core's TestVerdictIndependentOfInputOrder).
-	Views() []*core.AppView
-	// GrantFull applies min(β·b, limit) to every candidate.
-	GrantFull(nodeBW, limit, now float64)
-	// Grant applies a policy verdict: zero to every candidate it omits.
-	Grant(grants []core.Grant, now float64)
+	Apply(slot int32, bw, now float64)
 }
 
 // Counters account for every decision point with a non-empty candidate
@@ -53,11 +43,15 @@ type Counters struct {
 type Kernel struct {
 	Counters
 
-	// Version is the candidate-set version. The engine bumps it on every
-	// membership change and every discrete view change of its own (a new
-	// request); Transition bumps it for the changes a verdict makes. Only
-	// equality between versions ever matters.
+	// Version is the candidate-set version. Add and Remove bump it on
+	// every membership change, the engine on every discrete view change of
+	// its own (a new request), Transition for the changes a verdict makes.
+	// Only equality between versions ever matters.
 	Version uint64
+
+	// Cands is the candidate set; change its membership through Add and
+	// Remove.
+	Cands Candidates
 
 	policy core.Scheduler
 	caps   core.EngineCaps // resolved once per policy
@@ -82,13 +76,31 @@ func New(p core.Scheduler, trace dectrace.Sink, check bool) Kernel {
 // Policy returns the deciding policy.
 func (k *Kernel) Policy() core.Scheduler { return k.policy }
 
+// Add makes slot, with its view v, a candidate, and Remove withdraws it.
+// A membership change bumps Version; adding a member or removing a
+// non-member changes nothing.
+//
+//iosched:allocfree
+func (k *Kernel) Add(slot int32, v *core.AppView) {
+	if k.Cands.add(slot, v) {
+		k.Version++
+	}
+}
+
+//iosched:allocfree
+func (k *Kernel) Remove(slot int32) {
+	if k.Cands.remove(slot) {
+		k.Version++
+	}
+}
+
 // NextWake asks a Waker policy (core.Timeout promoting expired stalls) for
 // its next self-chosen decision point over the current candidates.
-func (k *Kernel) NextWake(set Set, now float64) (float64, bool) {
-	if k.caps.Waker == nil || set.Len() == 0 {
+func (k *Kernel) NextWake(now float64) (float64, bool) {
+	if k.caps.Waker == nil || k.Cands.Len() == 0 {
 		return 0, false
 	}
-	return k.caps.Waker.NextWake(now, set.Views())
+	return k.caps.Waker.NextWake(now, k.Cands.Views())
 }
 
 // SetPolicy switches the deciding policy and drops the memo: the previous
@@ -110,12 +122,12 @@ func (k *Kernel) RestoreMemo(cap core.Capacity) {
 
 // Decide resolves the decision point at now: skip when the outcome is
 // provably the previous one, apply the known outcome where the policy's
-// capabilities fix it, or invoke the policy. kind names the trigger for
-// the trace record.
+// capabilities fix it, or invoke the policy; set applies the outcome.
+// kind names the trigger for the trace record.
 //
 //iosched:allocfree
 func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
-	n := set.Len()
+	n := k.Cands.Len()
 	if n == 0 {
 		return
 	}
@@ -150,9 +162,9 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 	// margin makes the cap at B a no-op (each β·b is below the demand) and
 	// lets Demand accumulate in any order: every order lands on the same
 	// side of the threshold, so an engine never sorts for a skip.
-	case single || k.caps.Saturating && set.Demand(cap.NodeBW) <= cap.TotalBW*(1-1e-9):
+	case single || k.caps.Saturating && k.Cands.Demand(cap.NodeBW) <= cap.TotalBW*(1-1e-9):
 		if k.trace != nil {
-			views := set.Views()
+			views := k.Cands.Views()
 			apps = dectrace.CaptureApps(nil, views)
 			for _, v := range views {
 				bw := float64(v.Nodes) * cap.NodeBW
@@ -162,7 +174,7 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 				grants = append(grants, dectrace.GrantRecord{ID: v.ID, BW: bw})
 			}
 		}
-		set.GrantFull(cap.NodeBW, cap.TotalBW, now)
+		k.Cands.GrantFull(set, cap.NodeBW, cap.TotalBW, now)
 		k.Skipped++
 		if single {
 			verdict = core.SkipSingleFullGrant
@@ -183,7 +195,7 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 	// the pre-application inputs must not survive that.
 	default:
 		verdict = core.SkipNone
-		views := set.Views()
+		views := k.Cands.Views()
 		g := core.AllocateWith(k.policy, &k.scr, now, views, cap)
 		k.Decisions++
 		if k.check {
@@ -195,7 +207,7 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 		if k.trace != nil {
 			apps, grants = dectrace.CaptureApps(nil, views), dectrace.CaptureGrants(nil, g)
 		}
-		set.Grant(g, now)
+		k.Cands.Grant(set, g, now)
 	}
 	k.decided, k.decidedVersion, k.decidedCap = true, ver, cap // a memo skip rewrites itself
 	if k.trace != nil {

@@ -7,52 +7,27 @@ import (
 	"repro/internal/dectrace"
 )
 
-// fakeSet is the smallest engine: ID-ordered views and the bandwidth each
-// one last received, with the kernel's transition applied on every grant.
+// fakeSet is the smallest engine: its views by slot (add order) and the
+// bandwidth each one last received, with the kernel's transition applied
+// on every grant.
 type fakeSet struct {
 	k     *Kernel
 	views []*core.AppView
 	bw    map[int]float64
 }
 
-func (f *fakeSet) Len() int               { return len(f.views) }
-func (f *fakeSet) Views() []*core.AppView { return f.views }
-
-func (f *fakeSet) Demand(nodeBW float64) float64 {
-	d := 0.0
-	for _, v := range f.views {
-		d += float64(v.Nodes) * nodeBW
-	}
-	return d
-}
-
-func (f *fakeSet) apply(v *core.AppView, bw, now float64) {
+func (f *fakeSet) Apply(slot int32, bw, now float64) {
+	v := f.views[slot]
 	f.bw[v.ID] = bw
 	f.k.Transition(v, bw, now)
-}
-
-func (f *fakeSet) GrantFull(nodeBW, limit, now float64) {
-	for _, v := range f.views {
-		f.apply(v, min(float64(v.Nodes)*nodeBW, limit), now)
-	}
-}
-
-func (f *fakeSet) Grant(grants []core.Grant, now float64) {
-	granted := map[int]float64{}
-	for _, g := range grants {
-		granted[g.AppID] = g.BW
-	}
-	for _, v := range f.views {
-		f.apply(v, granted[v.ID], now)
-	}
 }
 
 // add registers a pending request, the way an engine does: a membership
 // change bumps the version. lastIO orders RoundRobin (oldest first).
 func (f *fakeSet) add(id, nodes int, lastIO float64) *core.AppView {
 	v := &core.AppView{ID: id, Nodes: nodes, Phase: core.Pending, RemVolume: 100, LastIOEnd: lastIO}
+	f.k.Add(int32(len(f.views)), v)
 	f.views = append(f.views, v)
-	f.k.Version++
 	return v
 }
 
@@ -226,6 +201,7 @@ func TestSetPolicyAndMemoRoundTrip(t *testing.T) {
 	}
 
 	resumed := New(core.RoundRobin(), nil, true)
+	resumed.Add(0, set.views[0])
 	resumed.Version = k.Version
 	if _, live := resumed.Memo(); live {
 		t.Error("fresh kernel reports a live memo")

@@ -166,7 +166,7 @@ func TestWakeTimerDisarmedOnEmptyCandidates(t *testing.T) {
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.candidates) == 0 && !srv.wakeArmed
+		return srv.k.Cands.Len() == 0 && !srv.wakeArmed
 	}, "wake timer disarmed after the candidate set emptied")
 
 	// No spurious rounds fire afterwards.
@@ -252,7 +252,7 @@ func TestProgressToZeroCompletes(t *testing.T) {
 		sess := srv.reg.get(1)
 		return sess != nil && sess.view.Phase == core.Computing &&
 			sess.view.RemVolume == 0 && !sess.view.Started &&
-			sess.view.LastIOEnd > 0 && !sess.cand && sess.bw == 0
+			sess.view.LastIOEnd > 0 && !srv.k.Cands.Has(sess.slot) && sess.bw == 0
 	}, "view completed after progress reached zero")
 	if got := srv.Metrics().Candidates; got != 0 {
 		t.Errorf("candidates = %d after progress-to-zero, want 0", got)
@@ -431,5 +431,50 @@ func dialRetry(addr string, id, nodes int) (*Client, error) {
 			return nil, err
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSessionArenaBounded pins the session arena's bound: slots are
+// released in finish and reused, so 1,000 sequential session lifecycles
+// (join, request, complete, leave) with at most 8 sessions at once leave
+// the arena at most 8 long — it grows with peak concurrency, not with
+// sessions ever seen — and the candidate set empty.
+func TestSessionArenaBounded(t *testing.T) {
+	srv, err := New(Config{Policy: core.MaxSysEff(), TotalBW: 10, NodeBW: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var live []*session
+	for i := 0; i < 1000; i++ {
+		if len(live) == 8 {
+			srv.finish(live[0])
+			live = live[1:]
+		}
+		sess, err := srv.register(discardConn{}, &Message{Type: TypeHello, AppID: i + 1, Nodes: 1 + i%5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.dispatch(sess, &Message{Type: TypeRequest, Volume: 4, Work: 1, IdealTime: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 { // some leave while still candidates
+			if err := srv.dispatch(sess, &Message{Type: TypeComplete}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live = append(live, sess)
+	}
+	for _, sess := range live {
+		srv.finish(sess)
+	}
+	srv.mu.Lock()
+	arena, free := len(srv.arena), len(srv.free)
+	srv.mu.Unlock()
+	if arena > 8 || free != arena {
+		t.Errorf("arena of %d slots (%d free) after 1000 lifecycles of at most 8 sessions, want at most 8, all free", arena, free)
+	}
+	if m := srv.Metrics(); m.Candidates != 0 || m.Sessions != 0 {
+		t.Errorf("%d candidates, %d sessions after every session left, want 0 and 0", m.Candidates, m.Sessions)
 	}
 }

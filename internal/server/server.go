@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/telemetry"
-	"repro/internal/xsort"
 )
 
 // Config describes the scheduler daemon.
@@ -80,8 +79,8 @@ type Config struct {
 //
 // Ordering: shard locks may be acquired while holding mu (Metrics,
 // Snapshot); mu is never acquired while holding a shard lock — the
-// decision round resolves grant targets by binary search over the
-// ID-sorted candidate slice instead of reaching into the registry.
+// decision round resolves grant targets through the kernel's candidate
+// set and the session arena instead of reaching into the registry.
 // lifeMu nests with neither.
 type Server struct {
 	cfg   Config
@@ -105,21 +104,17 @@ type Server struct {
 	clock func() float64
 
 	// k is the decision kernel (internal/engine): the active policy, the
-	// candidate-set version, the decision memo, the decision/skip counters.
+	// candidate set — the sessions whose view wants I/O, keyed by arena
+	// slot — and its version, the decision memo, the decision/skip
+	// counters. k.Version also bumps on every discrete view-state change
+	// (the Memoizable contract of core/allocate.go).
 	k engine.Kernel
 
-	// candidates holds the sessions whose view currently wants I/O,
-	// ascending by application ID. k.Version bumps on every membership
-	// change and on every discrete view-state change (the Memoizable
-	// contract of core/allocate.go).
-	candidates []*session
-	// want caches the candidate views slice handed to the policy; it is
-	// rebuilt only when wantVersion falls behind k.Version (both start at
-	// zero, with no candidates: the empty cache is right).
-	want        []*core.AppView
-	wantVersion uint64
-
-	round uint64 // current decision round, for grantRound marking
+	// arena maps a registered session's slot to the session; free holds
+	// the slots finished sessions released, reused before the arena
+	// grows, so its length is the peak number of concurrent sessions.
+	arena []*session
+	free  []int32
 
 	// batch collects one round's grant pushes; it is flushed to the
 	// per-session outboxes before the state lock is released, so the
@@ -158,7 +153,7 @@ type session struct {
 	conn net.Conn
 	view core.AppView
 	bw   float64 // last decided grant
-	cand bool    // membership in Server.candidates
+	slot int32   // index in Server.arena, the session's candidate slot
 
 	// profile is the phase plan announced in the hello (may be empty);
 	// instance counts the I/O phases completed so far, so profile[instance]
@@ -178,11 +173,6 @@ type session struct {
 
 	// seq is the session's monotone grant sequence (see Message.Seq).
 	seq uint64
-
-	// grantRound/grantBW communicate one decision's grant without a
-	// per-round map: valid when grantRound equals the server's round.
-	grantRound uint64
-	grantBW    float64
 
 	// The outbox decouples scheduling from delivery: rounds enqueue
 	// messages under the server lock and a per-session writer goroutine
@@ -426,7 +416,7 @@ func (s *Server) Metrics() Metrics {
 	return Metrics{
 		Policy:                 s.k.Policy().Name(),
 		Sessions:               s.reg.count(),
-		Candidates:             len(s.candidates),
+		Candidates:             s.k.Cands.Len(),
 		Rounds:                 uint64(c.Decisions + c.Skipped),
 		Decisions:              uint64(c.Decisions),
 		Skipped:                uint64(c.Skipped),
@@ -562,6 +552,13 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 	defer s.mu.Unlock()
 	sess.view.Release = s.now()
 	sess.view.LastIOEnd = sess.view.Release
+	if n := len(s.free); n > 0 {
+		sess.slot, s.free = s.free[n-1], s.free[:n-1]
+		s.arena[sess.slot] = sess
+	} else {
+		sess.slot = int32(len(s.arena))
+		s.arena = append(s.arena, sess)
+	}
 	s.wg.Add(1)
 	go s.writeLoop(sess)
 	sess.enqueue(Message{Type: TypeWelcome, AppID: msg.AppID})
@@ -654,7 +651,7 @@ func (s *Server) dispatch(sess *session, msg *Message) error {
 		sess.view.PendingSince = s.now()
 		// A fresh request must always be answered, even with a zero.
 		sess.pushedValid = false
-		s.candAddLocked(sess)
+		s.k.Add(sess.slot, &sess.view)
 		// The request changed discrete scheduler-visible state whether or
 		// not the session was already a candidate.
 		s.k.Version++
@@ -704,65 +701,23 @@ func (s *Server) completeLocked(sess *session) {
 	sess.view.LastIOEnd = s.now()
 	sess.bw = 0
 	sess.pushedValid = false
-	s.candRemoveLocked(sess)
+	s.k.Remove(sess.slot)
 }
 
-// finish deregisters a session, rebalances the survivors and drains the
-// session's outbox so a final error message still reaches the client.
+// finish deregisters a session, releases its arena slot, rebalances the
+// survivors and drains the session's outbox so a final error message
+// still reaches the client.
 func (s *Server) finish(sess *session) {
 	if s.reg.removeIf(sess.view.ID, sess) {
 		s.logf("app %d left", sess.view.ID)
 	}
 	s.mu.Lock()
-	s.candRemoveLocked(sess)
+	s.k.Remove(sess.slot)
+	s.arena[sess.slot] = nil
+	s.free = append(s.free, sess.slot)
 	s.roundLocked("leave")
 	s.mu.Unlock()
 	sess.closeOutbox()
-}
-
-// --- incremental candidate tracking ----------------------------------------
-
-func sessLess(a, b *session) bool { return a.view.ID < b.view.ID }
-
-func (s *Server) candAddLocked(sess *session) {
-	if sess.cand {
-		return
-	}
-	sess.cand = true
-	s.candidates = xsort.Insert(s.candidates, sess, sessLess)
-	s.k.Version++
-}
-
-func (s *Server) candRemoveLocked(sess *session) {
-	if !sess.cand {
-		return
-	}
-	sess.cand = false
-	s.candidates = xsort.Remove(s.candidates, sess, sessLess)
-	s.k.Version++
-}
-
-// candByIDLocked returns the candidate session with the given app ID,
-// or nil. It binary-searches the ID-sorted candidate slice: the
-// decision round must not reach into the sharded registry (lock
-// ordering forbids shard → mu nesting, and grants can only target
-// candidates anyway) and must not allocate. Callers hold s.mu.
-//
-//iosched:allocfree
-func (s *Server) candByIDLocked(id int) *session {
-	lo, hi := 0, len(s.candidates)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.candidates[mid].view.ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.candidates) && s.candidates[lo].view.ID == id {
-		return s.candidates[lo]
-	}
-	return nil
 }
 
 // --- decision rounds --------------------------------------------------------
@@ -786,7 +741,7 @@ func (s *Server) roundLocked(kind string) {
 		t0 = time.Now()
 	}
 	now := s.now()
-	s.k.Decide((*roundSet)(s), now, core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}, kind)
+	s.k.Decide((*applier)(s), now, core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}, kind)
 	s.armWakeLocked(now)
 	s.flushLocked()
 	if s.tel != nil {
@@ -800,10 +755,11 @@ func (s *Server) roundLocked(kind string) {
 // building the point at most once. The probe samples (its MinInterval
 // gate); the monitor observes every round, so its firing sequence is a
 // deterministic function of the round history. The point comes from the
-// same telemetry.PointBuilder operations over the same ID-ordered walk as
-// the simulator's capture site, so the two engines agree point for point
-// on equivalent histories (TestDaemonTelemetryMatchesSimulator,
-// TestDaemonHealthMatchesSimulator). Callers hold s.mu.
+// same telemetry.PointBuilder operations over the same ID-ordered walk of
+// the kernel's candidate view as the simulator's capture site, so the two
+// engines agree point for point on equivalent histories
+// (TestDaemonTelemetryMatchesSimulator, TestDaemonHealthMatchesSimulator).
+// Callers hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) observeLocked(now float64) {
@@ -834,76 +790,21 @@ func (s *Server) observeLocked(now float64) {
 //iosched:allocfree
 func (s *Server) livePointLocked(now float64) telemetry.Point {
 	var b telemetry.PointBuilder
-	for _, sess := range s.candidates {
-		b.Add(now, &sess.view, sess.bw, s.cfg.NodeBW)
+	slots, views := s.k.Cands.Ordered()
+	for i, v := range views {
+		b.Add(now, v, s.arena[slots[i]].bw, s.cfg.NodeBW)
 	}
 	return b.Finish(now, s.cfg.TotalBW, 0)
 }
 
-// roundSet is the server's candidate set as the decision kernel sees it
-// (engine.Set): sessions ascending by application ID, every method called
-// under s.mu. A separate type keeps Server's exported method set as it is.
-type roundSet Server
+// applier is the server's side of a verdict as the decision kernel sees
+// it (engine.Set), called under s.mu. A separate type keeps Server's
+// exported method set as it is.
+type applier Server
 
 //iosched:allocfree
-func (r *roundSet) Len() int { return len(r.candidates) }
-
-// Views returns the candidate views in ID order, rebuilding the cached
-// slice only when the candidate set changed.
-//
-//iosched:allocfree
-func (r *roundSet) Views() []*core.AppView {
-	if r.wantVersion != r.k.Version {
-		r.want = r.want[:0]
-		for _, sess := range r.candidates {
-			r.want = append(r.want, &sess.view)
-		}
-		r.wantVersion = r.k.Version
-	}
-	return r.want
-}
-
-//iosched:allocfree
-func (r *roundSet) Demand(nodeBW float64) float64 {
-	demand := 0.0
-	for _, sess := range r.candidates {
-		demand += float64(sess.view.Nodes) * nodeBW
-	}
-	return demand
-}
-
-//iosched:allocfree
-func (r *roundSet) GrantFull(nodeBW, limit, now float64) {
-	s := (*Server)(r)
-	for _, sess := range s.candidates {
-		bw := float64(sess.view.Nodes) * nodeBW
-		if bw > limit {
-			bw = limit
-		}
-		s.applyGrantLocked(sess, bw, now)
-	}
-}
-
-// Grant stamps the verdict's targets with the round (binary search, no
-// per-round map), then walks the set once.
-//
-//iosched:allocfree
-func (r *roundSet) Grant(grants []core.Grant, now float64) {
-	s := (*Server)(r)
-	s.round++
-	for _, g := range grants {
-		if sess := s.candByIDLocked(g.AppID); sess != nil {
-			sess.grantRound = s.round
-			sess.grantBW = g.BW
-		}
-	}
-	for _, sess := range s.candidates {
-		bw := 0.0
-		if sess.grantRound == s.round {
-			bw = sess.grantBW
-		}
-		s.applyGrantLocked(sess, bw, now)
-	}
+func (a *applier) Apply(slot int32, bw, now float64) {
+	(*Server)(a).applyGrantLocked(a.arena[slot], bw, now)
 }
 
 // applyGrantLocked installs one session's bandwidth verdict, keeps the
@@ -953,7 +854,7 @@ func (s *Server) armWakeLocked(now float64) {
 	if s.closed.Load() {
 		return
 	}
-	wake, want := s.k.NextWake((*roundSet)(s), now)
+	wake, want := s.k.NextWake(now)
 	if !want || wake <= now {
 		//iosched:allocfree-allow inlined time.Timer.Stop panic-path string; unreachable once the timer exists
 		s.disarmWakeLocked()

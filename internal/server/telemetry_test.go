@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dectrace"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -74,13 +77,14 @@ func TestSteadyRoundTelemetryAllocationFree(t *testing.T) {
 }
 
 // replayScriptProbe replays the scripted scenario through the daemon's
-// message entry points with a telemetry probe attached, under the same
-// exact fake clock as replayScript, and snapshots the probe before the
-// sessions drain: finish triggers extra "leave" rounds at the frozen
-// final clock that the simulator run has no counterpart for.
-func replayScriptProbe(t *testing.T, pol core.Scheduler, B, b float64, script []scriptEvent, pr *telemetry.Probe) *telemetry.Telemetry {
+// message entry points with a telemetry probe and a decision-trace sink
+// attached, under the same exact fake clock as replayScript, and
+// snapshots the probe before the sessions drain: finish triggers extra
+// "leave" rounds at the frozen final clock that the simulator run has no
+// counterpart for.
+func replayScriptProbe(t *testing.T, pol core.Scheduler, B, b float64, script []scriptEvent, pr *telemetry.Probe, trace dectrace.Sink) *telemetry.Telemetry {
 	t.Helper()
-	srv, err := New(Config{Policy: pol, TotalBW: B, NodeBW: b, Telemetry: pr})
+	srv, err := New(Config{Policy: pol, TotalBW: B, NodeBW: b, Telemetry: pr, DecisionTrace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,51 +126,87 @@ func replayScriptProbe(t *testing.T, pol core.Scheduler, B, b float64, script []
 
 // TestDaemonTelemetryMatchesSimulator proves the two capture sites
 // equivalent: the simulator run and its scripted daemon replay produce
-// the same congestion series, bit for bit at every sample point. Both
-// sites walk the candidate set in ascending application-ID order through
-// the shared telemetry.PointBuilder, so any divergence here means one
-// engine's sampled state (grants, demand, stretch) drifted from the
-// other's.
+// the same congestion series, bit for bit at every sample point, and the
+// same candidates and grants in every decision record, element for
+// element. Both engines walk the kernel's candidate view in ascending
+// application-ID order through the shared telemetry.PointBuilder — also
+// when the configured IDs descend with config order, the
+// "descending-ids" cases — so any divergence here means one engine's
+// sampled state (grants, demand, stretch) drifted from the other's.
 func TestDaemonTelemetryMatchesSimulator(t *testing.T) {
 	policies := []string{"MaxSysEff", "Priority-RoundRobin", "RoundRobin", "fair-share"}
 	for _, name := range policies {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			B, b, p, apps := equivalenceScenario()
-			pol, err := core.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := &sim.Trace{}
-			simProbe := &telemetry.Probe{}
-			simRes, err := sim.Run(sim.Config{
-				Platform: p, Scheduler: pol, Apps: apps, Trace: tr,
-				CheckGrants: true, Telemetry: simProbe,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if simRes.Telemetry == nil || len(simRes.Telemetry.Points) == 0 {
-				t.Fatal("simulator run captured no telemetry")
-			}
-			script := buildScript(t, p, apps, tr, simRes)
-
-			daemonPol, err := core.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := replayScriptProbe(t, daemonPol, B, b, script, &telemetry.Probe{})
-
-			want := simRes.Telemetry.Points
-			if len(got.Points) != len(want) {
-				t.Fatalf("daemon sampled %d points, sim %d", len(got.Points), len(want))
-			}
-			for i, g := range got.Points {
-				if g != want[i] {
-					t.Errorf("point %d differs:\ndaemon: %+v\nsim:    %+v", i, g, want[i])
-				}
-			}
+			checkTelemetryMatches(t, name, B, b, p, apps)
 		})
+	}
+	for _, name := range policies {
+		t.Run("descending-ids/"+name, func(t *testing.T) {
+			B, b, p, apps := equivalenceScenario()
+			for i, id := range []int{9, 7, 3} {
+				apps[i].ID = id
+			}
+			checkTelemetryMatches(t, name, B, b, p, apps)
+		})
+	}
+}
+
+func checkTelemetryMatches(t *testing.T, name string, B, b float64, p *platform.Platform, apps []*platform.App) {
+	pol, err := core.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &sim.Trace{}
+	simProbe := &telemetry.Probe{}
+	simTrace := &dectrace.Slice{}
+	simRes, err := sim.Run(sim.Config{
+		Platform: p, Scheduler: pol, Apps: apps, Trace: tr,
+		CheckGrants: true, Telemetry: simProbe, DecisionTrace: simTrace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simRes.Telemetry == nil || len(simRes.Telemetry.Points) == 0 {
+		t.Fatal("simulator run captured no telemetry")
+	}
+	script := buildScript(t, p, apps, tr, simRes)
+
+	daemonPol, err := core.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemonTrace := &dectrace.Slice{}
+	got := replayScriptProbe(t, daemonPol, B, b, script, &telemetry.Probe{}, daemonTrace)
+
+	want := simRes.Telemetry.Points
+	if len(got.Points) != len(want) {
+		t.Fatalf("daemon sampled %d points, sim %d", len(got.Points), len(want))
+	}
+	for i, g := range got.Points {
+		if g != want[i] {
+			t.Errorf("point %d differs:\ndaemon: %+v\nsim:    %+v", i, g, want[i])
+		}
+	}
+	// The daemon's leave rounds at the end have no simulator counterpart.
+	if len(daemonTrace.Records) < len(simTrace.Records) {
+		t.Fatalf("daemon traced %d records, sim %d", len(daemonTrace.Records), len(simTrace.Records))
+	}
+	// The candidates' order and the grants agree element for element (the
+	// daemon's RemVolume moves only with progress reports, so the app
+	// records are compared by ID).
+	ids := func(apps []dectrace.AppRecord) (out []int) {
+		for _, a := range apps {
+			out = append(out, a.ID)
+		}
+		return out
+	}
+	for i, w := range simTrace.Records {
+		d := daemonTrace.Records[i]
+		if d.Verdict != w.Verdict || !slices.Equal(ids(d.Apps), ids(w.Apps)) || !slices.Equal(d.Grants, w.Grants) {
+			t.Errorf("record %d differs:\ndaemon: %s %v %+v\nsim:    %s %v %+v",
+				i, d.Verdict, ids(d.Apps), d.Grants, w.Verdict, ids(w.Apps), w.Grants)
+		}
 	}
 }
 

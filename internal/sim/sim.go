@@ -152,19 +152,12 @@ type appState struct {
 	// left), or requesting.
 	timer des.Handle
 
-	// activePos/candPos are the app's slots in the unordered membership
-	// sets (simulation.active / simulation.candidates), -1 when absent.
-	// Storing the position makes removal a swap with the last element —
-	// O(1) instead of the former O(population) memmove through a sorted
-	// slice, which dominated runs at 100k applications.
+	// activePos is the app's slot in the unordered transferring set
+	// (simulation.active), -1 when absent. Storing the position makes
+	// removal a swap with the last element — O(1) instead of the former
+	// O(population) memmove through a sorted slice, which dominated runs
+	// at 100k applications.
 	activePos int32
-	candPos   int32
-
-	// grantRound/grantBW communicate one decision's grant without a
-	// per-decision map: valid when grantRound equals the simulation's
-	// current round.
-	grantRound uint64
-	grantBW    float64
 
 	ioTime float64
 	finish float64
@@ -206,10 +199,11 @@ type simulation struct {
 	// apps is a flat arena, one slot per application in config order
 	// (dense app index). It is sized once and never reallocated; every
 	// other structure — kernel timers, the membership sets, the due list,
-	// byID — refers to an application by that index.
+	// byID — refers to an application by that index: it is the app's slot
+	// in the kernel's candidate set too.
 	apps []appState
 	// byID maps application IDs to dense indices. Only lookup reads it,
-	// and builds it on first use.
+	// for tracked applications, and builds it on first use.
 	byID map[int]int32
 
 	eng des.Engine // deadline timers (release / compute end / request ready)
@@ -217,7 +211,8 @@ type simulation struct {
 	now    float64
 	events int
 
-	// k is the decision kernel: policy capabilities, the candidate-set
+	// k is the decision kernel: policy capabilities, the candidate set
+	// (the apps in doingIO entered with more than volEps remaining) and its
 	// version, the decision memo and the decision/skip counters
 	// (internal/engine).
 	k engine.Kernel
@@ -243,19 +238,6 @@ type simulation struct {
 	activeSorted        []int32
 	activeSortedVersion uint64
 
-	// candidates holds the app indices of the allocator-visible set
-	// (doingIO, entered with more than volEps remaining), unordered.
-	// k.Version bumps on every membership change (and on discrete view
-	// changes at grant application) and drives the decision memo.
-	// candSorted/want are the index-ordered view the scheduler sees,
-	// materialized when a decision point first reads it — memo and
-	// saturating skip rounds never pay for it — and from then on
-	// maintained across membership changes (viewState), not rebuilt.
-	candidates []int32
-	candSorted []int32
-	want       []*core.AppView
-	view       viewState
-
 	// zeroPending holds apps that entered doingIO at or below volEps:
 	// they are invisible to the allocator and complete at the next event
 	// instant, exactly as the original per-event volume sweep did.
@@ -265,8 +247,6 @@ type simulation struct {
 	// events; the kernel's ID handler appends each fired timer's app.
 	due []int32
 
-	round uint64 // current decision round, for grantRound marking
-
 	// buffer is non-nil when the run stages writes through a burst
 	// buffer.
 	buffer *bb.Model
@@ -275,16 +255,18 @@ type simulation struct {
 }
 
 // newArena allocates a simulation for cfg with everything that scales
-// with the population sized once: the application arena, and the three
-// index lists, each of which holds an application at most once. A run
-// performs a number of allocations independent of len(cfg.Apps).
+// with the population sized once: the application arena, the two index
+// lists, each of which holds an application at most once, and the
+// candidate set's per-slot storage. A run performs a number of
+// allocations independent of len(cfg.Apps).
 func newArena(cfg Config) *simulation {
 	n := len(cfg.Apps)
 	s := &simulation{cfg: cfg, p: cfg.Platform,
 		k: engine.New(cfg.Scheduler, cfg.DecisionTrace, cfg.CheckGrants)}
 	s.apps = make([]appState, n)
-	idx := make([]int32, 3*n)
-	s.due, s.candidates, s.active = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
+	s.k.Cands.Reserve(n)
+	idx := make([]int32, 2*n)
+	s.due, s.active = idx[:0:n], idx[n:n:2*n]
 	s.eng.HandleIDs(s.timerFired)
 	return s
 }
@@ -300,7 +282,6 @@ func newSimulation(cfg Config) *simulation {
 			phase:     notReleased,
 			until:     a.Release,
 			activePos: -1,
-			candPos:   -1,
 			view: core.AppView{
 				ID:        a.ID,
 				Nodes:     a.Nodes,
@@ -327,10 +308,9 @@ func newSimulation(cfg Config) *simulation {
 // fired joins the current instant's firing list.
 func (s *simulation) timerFired(i int32) { s.due = append(s.due, i) }
 
-// lookup resolves an application ID to its state, nil when the run has no
-// such application. The index is built on first use: a run whose every
-// decision point resolves by a skip, with no tracked apps, never pays for
-// it.
+// lookup resolves a tracked application's ID (Telemetry.TrackApps) to its
+// state, nil when the run has no such application. The index is built on
+// first use: a run that tracks no application never pays for it.
 func (s *simulation) lookup(id int) *appState {
 	if s.byID == nil {
 		s.byID = make(map[int]int32, len(s.apps))
@@ -390,10 +370,9 @@ func (s *simulation) run() (*Result, error) {
 // telemetry probe and health monitor, building the point at most once.
 // The probe samples (its MinInterval gate); the monitor sees every
 // decision point, so its firing sequence depends only on workload and
-// policy. The candidate walk follows the index-ordered view — for
-// workloads whose IDs ascend with config order, like every generated one,
-// the ID order the daemon's capture site walks — which is what makes the
-// two engines' series and firing sequences bit-comparable
+// policy. The candidate walk follows the kernel's ID-ordered view, the
+// order the daemon's capture site walks too, which is what makes the two
+// engines' series and firing sequences bit-comparable
 // (TestDaemonTelemetryMatchesSimulator, TestDaemonHealthMatchesSimulator).
 // Nil-gated: a run with neither attached pays only the comparisons.
 func (s *simulation) observe() {
@@ -406,8 +385,9 @@ func (s *simulation) observe() {
 	}
 	cap := s.capacity()
 	var b telemetry.PointBuilder
-	for i, v := range s.Views() {
-		b.Add(s.now, v, s.apps[s.candSorted[i]].bw, cap.NodeBW)
+	slots, views := s.k.Cands.Ordered()
+	for i, v := range views {
+		b.Add(s.now, v, s.apps[slots[i]].bw, cap.NodeBW)
 	}
 	lvl := 0.0
 	if s.buffer != nil {
@@ -510,13 +490,12 @@ func (s *simulation) census() string {
 
 // --- incremental set maintenance ------------------------------------------
 //
-// The active and candidate sets are unordered index slices with O(1)
-// add (append) and O(1) remove (swap with the last element); each app
-// stores its slot so no search is needed. Order-sensitive consumers —
-// the scheduler's view slice and the burst-buffer inflow sum — read
-// lazily materialized sorted copies instead, so skip rounds never pay a
-// sort; the view slice, read at every congested decision point, is then
-// patched in place at most once per read (viewChanged).
+// The transferring set is an unordered index slice with O(1) add (append)
+// and O(1) remove (swap with the last element); each app stores its slot
+// so no search is needed. Its one order-sensitive consumer, the
+// burst-buffer inflow sum, reads a lazily sorted copy instead, so skip
+// rounds never pay a sort. The candidate set is the kernel's
+// (engine.Candidates), keyed by the same app index.
 
 func (s *simulation) activeAdd(st *appState) {
 	if st.activePos >= 0 {
@@ -540,73 +519,6 @@ func (s *simulation) activeRemove(st *appState) {
 	s.activeVersion++
 }
 
-func (s *simulation) candAdd(st *appState) {
-	if st.candPos >= 0 {
-		return
-	}
-	st.candPos = int32(len(s.candidates))
-	s.candidates = append(s.candidates, int32(st.index))
-	s.k.Version++
-	s.viewChanged(st, true)
-}
-
-func (s *simulation) candRemove(st *appState) {
-	if st.candPos < 0 {
-		return
-	}
-	i, n := st.candPos, len(s.candidates)-1
-	moved := s.candidates[n]
-	s.candidates[i] = moved
-	s.apps[moved].candPos = i
-	s.candidates = s.candidates[:n]
-	st.candPos = -1
-	s.k.Version++
-	s.viewChanged(st, false)
-}
-
-// viewState says how the cached index-ordered view (candSorted/want)
-// stands against the candidate set. It follows membership only: a
-// Kernel.Transition bump changes fields of the views, which the cache
-// holds by pointer.
-type viewState uint8
-
-const (
-	// viewStale: membership changed behind the cache; the next read
-	// rebuilds it.
-	viewStale viewState = iota
-	// viewRead: current, and read since it was last built or patched; a
-	// membership change patches it in place.
-	viewRead
-	// viewPatched: current, patched since the last read; a second change
-	// before a read only marks it stale.
-	viewPatched
-)
-
-// viewChanged keeps the cached view in step with one membership change:
-// st joined (add) or left the candidate set. At most one O(candidates)
-// patch runs per read, so a run that never reads the view (every decision
-// point a skip) pays O(1) per membership change — this inlined test — and
-// a congested run, which reads at every decision point, never sorts again.
-func (s *simulation) viewChanged(st *appState, add bool) {
-	if s.view == viewRead {
-		s.patchView(st, add)
-	} else {
-		s.view = viewStale
-	}
-}
-
-func (s *simulation) patchView(st *appState, add bool) {
-	s.view = viewPatched
-	at, _ := slices.BinarySearch(s.candSorted, int32(st.index))
-	if add {
-		s.candSorted = slices.Insert(s.candSorted, at, int32(st.index))
-		s.want = slices.Insert(s.want, at, &st.view)
-	} else {
-		s.candSorted = slices.Delete(s.candSorted, at, at+1)
-		s.want = slices.Delete(s.want, at, at+1)
-	}
-}
-
 // sortedActive returns the transferring set ascending by app index,
 // rebuilt only when membership changed. It exists for the burst-buffer
 // inflow sum, whose floating-point accumulation order is observable.
@@ -617,28 +529,6 @@ func (s *simulation) sortedActive() []int32 {
 		s.activeSortedVersion = s.activeVersion
 	}
 	return s.activeSorted
-}
-
-// Views returns the candidate views in index order. A stale cache is
-// rebuilt from the membership set; its storage is sized for the whole
-// population on first use — like the arena's index lists it holds an
-// application at most once — so neither a rebuild nor a patch ever
-// reallocates.
-func (s *simulation) Views() []*core.AppView {
-	if s.view == viewStale {
-		if s.want == nil {
-			s.candSorted = make([]int32, 0, len(s.apps))
-			s.want = make([]*core.AppView, 0, len(s.apps))
-		}
-		s.candSorted = append(s.candSorted[:0], s.candidates...)
-		slices.Sort(s.candSorted)
-		s.want = s.want[:0]
-		for _, i := range s.candSorted {
-			s.want = append(s.want, &s.apps[i].view)
-		}
-	}
-	s.view = viewRead
-	return s.want
 }
 
 // --- phase transitions ----------------------------------------------------
@@ -686,7 +576,7 @@ func (s *simulation) beginIO(st *appState) {
 	st.view.PendingSince = s.now
 	st.until = math.Inf(1)
 	if st.view.RemVolume > volEps {
-		s.candAdd(st)
+		s.k.Add(int32(st.index), &st.view)
 	} else {
 		// Below the allocator's threshold: never a candidate; the
 		// original loop's per-event volume sweep completed it at the
@@ -703,7 +593,7 @@ func (s *simulation) completeIO(st *appState) {
 	st.ioTime += s.now - st.ioStart
 	st.bw = 0
 	s.activeRemove(st)
-	s.candRemove(st)
+	s.k.Remove(int32(st.index))
 	s.completeInstance(st)
 }
 
@@ -741,7 +631,7 @@ func (s *simulation) nextEventTime() float64 {
 	if t, ok := s.bbFillTime(); ok && t < next {
 		next = t
 	}
-	if t, ok := s.k.NextWake(s, s.now); ok && t > s.now && t < next {
+	if t, ok := s.k.NextWake(s.now); ok && t > s.now && t < next {
 		next = t
 	}
 	if next < s.now {
@@ -879,54 +769,12 @@ func (s *simulation) decide() {
 	s.observe()
 }
 
-// The simulation is its own candidate set for the kernel (engine.Set,
-// with Views above): dense app indices, unordered. The walks below touch
-// only per-app state and O(1) set membership, so the unordered order is
-// equivalent to the sorted one.
-
-func (s *simulation) Len() int { return len(s.candidates) }
-
-func (s *simulation) Demand(nodeBW float64) float64 {
-	demand := 0.0
-	for _, i := range s.candidates {
-		demand += float64(s.apps[i].view.Nodes) * nodeBW
-	}
-	return demand
-}
-
-func (s *simulation) GrantFull(nodeBW, limit, _ float64) {
-	for _, i := range s.candidates {
-		st := &s.apps[i]
-		bw := float64(st.view.Nodes) * nodeBW
-		if bw > limit {
-			bw = limit
-		}
-		s.applyGrant(st, bw)
-	}
-}
-
-func (s *simulation) Grant(grants []core.Grant, _ float64) {
-	s.round++
-	for _, g := range grants {
-		if st := s.lookup(g.AppID); st != nil {
-			st.grantRound = s.round
-			st.grantBW = g.BW
-		}
-	}
-	for _, i := range s.candidates {
-		st := &s.apps[i]
-		bw := 0.0
-		if st.grantRound == s.round {
-			bw = st.grantBW
-		}
-		s.applyGrant(st, bw)
-	}
-}
-
-// applyGrant installs one application's new bandwidth and keeps the
-// scheduler-visible phase (the kernel's transition) and the transferring
-// set in step.
-func (s *simulation) applyGrant(st *appState, bw float64) {
+// Apply is the simulation's side of a verdict (engine.Set; the slot is
+// the app index): it installs one application's new bandwidth and keeps
+// the scheduler-visible phase (the kernel's transition) and the
+// transferring set in step.
+func (s *simulation) Apply(slot int32, bw, _ float64) {
+	st := &s.apps[slot]
 	st.bw = bw
 	s.k.Transition(&st.view, bw, s.now)
 	if bw > 0 {

@@ -306,7 +306,6 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			ioTime:    as.IOTime,
 			finish:    as.Finish,
 			activePos: -1,
-			candPos:   -1,
 			view: core.AppView{
 				ID:            a.ID,
 				Nodes:         a.Nodes,
@@ -381,7 +380,7 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			s.activeAdd(st)
 		}
 		if st.view.RemVolume > volEps {
-			s.candAdd(st)
+			s.k.Add(int32(i), &st.view)
 		} else if st.bw == 0 {
 			// Entered I/O at or below the allocator's threshold: completes
 			// at the next event instant, exactly as captured.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 // compareResults requires two Results to be bit-identical in every field.
@@ -308,5 +309,44 @@ func TestSplitRunHealthEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestViewCacheRebuiltOnResume splits a congested Priority run mid-way:
+// the resumed simulation starts with candidates but a fresh kernel, whose
+// ordered candidate view is derived state — rebuilt on the first read,
+// never restored — and still finishes bit-identical to the uninterrupted
+// run.
+func TestViewCacheRebuiltOnResume(t *testing.T) {
+	wcfg := workload.Fig6Config(workload.Fig6B, 11)
+	apps, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: wcfg.Platform.WithoutBB(), Scheduler: core.MaxSysEff().WithPriority(),
+		Apps: apps, CheckGrants: true}
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Decisions == 0 {
+		t.Fatal("the mix never invoked the policy")
+	}
+	for _, frac := range []float64{0.3, 0.6} {
+		snap, err := RunToSnapshot(cfg, frac*full.Summary.Makespan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSimulationFromSnapshot(cfg, jsonRoundTrip(t, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := s.k.Cands.Len(); n < 2 {
+			t.Fatalf("split at %g: %d candidates, want a congested instant", frac, n)
+		}
+		if _, err := s.loop(math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, "Priority-MaxSysEff", s.collect(), full)
 	}
 }
