@@ -103,8 +103,7 @@ func (c *Client) LastBW() float64 {
 }
 
 // Seq returns the sequence number of the most recently applied grant:
-// the count of distinct bandwidth verdicts the server has pushed to this
-// session.
+// the count of grants the server has written to this session.
 func (c *Client) Seq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

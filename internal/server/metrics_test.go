@@ -30,7 +30,7 @@ func TestMetricsJSONShape(t *testing.T) {
 		"policy", "sessions", "candidates",
 		"rounds", "decisions", "skipped",
 		"skipped_memo", "skipped_saturating", "skipped_single_full_grant",
-		"grant_pushes", "uptime_s",
+		"grant_pushes", "grant_superseded", "uptime_s",
 		"forecasts_run", "policy_switches", "last_forecast_age_s",
 	}
 	for _, k := range want {

@@ -31,7 +31,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	pw.Counter("ioschedd_rounds_total", "Allocation rounds with a non-empty candidate set.", float64(m.Rounds))
 	pw.Counter("ioschedd_decisions_total", "Policy invocations.", float64(m.Decisions))
 	pw.Counter("ioschedd_skipped_total", "Rounds resolved without invoking the policy.", float64(m.Skipped))
-	pw.Counter("ioschedd_grant_pushes_total", "Grant messages enqueued to clients.", float64(m.GrantPushes))
+	pw.Counter("ioschedd_grant_pushes_total", "Grant verdicts enqueued to clients.", float64(m.GrantPushes))
+	pw.Counter("ioschedd_grant_superseded_total", "Enqueued grants that never reached the wire: replaced by a later verdict or already held by the client.", float64(m.GrantsSuperseded))
 	pw.Counter("ioschedd_forecasts_total", "Advisor forecasts recorded.", float64(m.ForecastsRun))
 	pw.Counter("ioschedd_policy_switches_total", "Runtime policy changes applied.", float64(m.PolicySwitches))
 	if s.health != nil {

@@ -74,10 +74,17 @@ type Message struct {
 	// Grant fields.
 	BW float64 `json:"bw_gibs,omitempty"`
 	// Seq is the per-session grant sequence: it increases by one with
-	// every grant pushed to this application, and grants for one session
-	// are written in sequence order, so a client applying grants in
-	// arrival order can never regress to an older allocation round's
-	// value (and can discard any stale duplicate defensively).
+	// every grant written to this application, without gaps, so a
+	// client applying grants in arrival order can never regress to an
+	// older allocation round's value (and can discard any stale
+	// duplicate defensively). Delivery is latest-value: a client needs
+	// only the allocation it was last told, so a verdict superseded
+	// before its session's writer reached it is never written, nor is
+	// one equal to the value the client already holds. The exception
+	// is the answer to a request (or registration): a request is always
+	// answered once, by one grant line, even when it carries a zero or
+	// the value the client already holds; verdicts decided before that
+	// line leaves fold into it.
 	Seq uint64 `json:"seq,omitempty"`
 
 	// Error field.

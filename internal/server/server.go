@@ -130,7 +130,13 @@ type Server struct {
 	wakeArmed bool
 	wakeAt    float64
 
-	pushes uint64 // grant messages enqueued (see Metrics)
+	pushes uint64 // grant verdicts enqueued (see Metrics)
+
+	// superseded counts enqueued grants that never reached the wire:
+	// replaced in an outbox, or dropped by a writer because the client
+	// already held the value (see Metrics.GrantsSuperseded). Sessions
+	// bump it outside s.mu, so it is atomic.
+	superseded atomic.Uint64
 
 	// Advisor bookkeeping (see NoteForecast and SetPolicy).
 	forecasts    uint64
@@ -171,42 +177,71 @@ type session struct {
 	pushedBW    float64
 	pushedValid bool
 
-	// seq is the session's monotone grant sequence (see Message.Seq).
-	seq uint64
-
 	// The outbox decouples scheduling from delivery: rounds enqueue
 	// messages under the server lock and a per-session writer goroutine
 	// drains them to the connection, so one slow client can neither
-	// stall scheduling nor delay pushes to its peers.
+	// stall scheduling nor delay pushes to its peers. A client needs
+	// only its latest grant, so the outbox holds at most one (enqueue
+	// supersedes a queued grant in place) and never more than three
+	// entries: the welcome, one grant and one error.
 	outMu   sync.Mutex
 	outCond *sync.Cond
 	outbox  []outMsg
 	closing bool
+	// writing is true while the writer holds a drained batch, so "idle"
+	// means an empty outbox and !writing.
+	writing bool
 	outDone chan struct{}
 
 	// pushHist, when non-nil, receives the enqueue→written latency of
-	// every grant push (Config.Telemetry's grant-push histogram).
+	// every grant written (Config.Telemetry's grant-push histogram): a
+	// grant that superseded others keeps the earliest enqueue stamp, and
+	// a grant dropped because the client held its value observes nothing.
 	pushHist *telemetry.Histogram
+	// superseded is the server's count of grants that never reached the
+	// wire (Server.superseded).
+	superseded *atomic.Uint64
 }
 
 // outMsg is one outbox entry: the message plus, when grant-push
 // telemetry is enabled, its enqueue instant (UnixNano; 0 = untimed).
+// must marks a grant that answers a request or registration: the writer
+// sends it even when the client already holds its value.
 type outMsg struct {
-	msg Message
-	enq int64
+	msg  Message
+	enq  int64
+	must bool
 }
 
-// enqueue appends a message to the session's outbox. Grant pushes are
-// timestamped when telemetry is enabled so the writer goroutine can
-// record how long the grant sat behind its peers on the wire.
-func (sess *session) enqueue(msg Message) {
+// enqueue queues a message for the session's writer. A grant queued
+// behind a grant the writer has not drained yet replaces it in place: the
+// survivor carries the new value, keeps the earlier enqueue stamp (its
+// push delay is how long the client was stale) and stays must if either
+// was. The welcome and an error keep their queue positions, and an error
+// closes the outbox to later messages (the connection ends after it), so
+// the wire order is welcome, grants, error. Grant pushes are timestamped
+// when telemetry is enabled so the writer goroutine can record how long
+// the grant sat behind its peers on the wire.
+//
+//iosched:allocfree
+func (sess *session) enqueue(msg Message, must bool) {
 	var enq int64
 	if sess.pushHist != nil && msg.Type == TypeGrant {
 		enq = time.Now().UnixNano()
 	}
 	sess.outMu.Lock()
-	if !sess.closing {
-		sess.outbox = append(sess.outbox, outMsg{msg: msg, enq: enq})
+	n := len(sess.outbox)
+	switch {
+	case sess.closing:
+	case msg.Type == TypeGrant && n > 0 && sess.outbox[n-1].msg.Type == TypeGrant:
+		last := &sess.outbox[n-1]
+		last.msg = msg
+		last.must = last.must || must
+		sess.superseded.Add(1)
+		// The pending entry already signalled the writer.
+	default:
+		sess.outbox = append(sess.outbox, outMsg{msg: msg, enq: enq, must: must})
+		sess.closing = msg.Type == TypeError // nothing follows an error
 		sess.outCond.Signal()
 	}
 	sess.outMu.Unlock()
@@ -379,9 +414,14 @@ type Metrics struct {
 	SkippedMemo            uint64 `json:"skipped_memo"`
 	SkippedSaturating      uint64 `json:"skipped_saturating"`
 	SkippedSingleFullGrant uint64 `json:"skipped_single_full_grant"`
-	// GrantPushes counts grant messages enqueued to clients (duplicate
-	// verdicts are suppressed and do not count).
-	GrantPushes uint64 `json:"grant_pushes"`
+	// GrantPushes counts grant verdicts enqueued to clients (duplicate
+	// verdicts are suppressed and do not count). GrantsSuperseded counts
+	// those that never reached the wire: replaced in the outbox by a
+	// later verdict, or dropped because the client already held the
+	// value. Grant lines written = GrantPushes − GrantsSuperseded (on
+	// sessions whose connection did not fail).
+	GrantPushes      uint64 `json:"grant_pushes"`
+	GrantsSuperseded uint64 `json:"grant_superseded"`
 	// UptimeSeconds is the server's age on its own clock.
 	UptimeSeconds float64 `json:"uptime_s"`
 	// ForecastsRun counts advisor forecasts recorded via NoteForecast;
@@ -424,6 +464,7 @@ func (s *Server) Metrics() Metrics {
 		SkippedSaturating:      uint64(c.SkippedSaturating),
 		SkippedSingleFullGrant: uint64(c.SkippedSingleFullGrant),
 		GrantPushes:            s.pushes,
+		GrantsSuperseded:       s.superseded.Load(),
 		UptimeSeconds:          s.now(),
 		ForecastsRun:           s.forecasts,
 		PolicySwitches:         s.switches,
@@ -531,9 +572,10 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 			Phase:   core.Computing,
 			Release: 0, // set under the lock below
 		},
-		profile:  append([]PhaseSpec(nil), msg.Profile...),
-		outDone:  make(chan struct{}),
-		pushHist: s.pushHist,
+		profile:    append([]PhaseSpec(nil), msg.Profile...),
+		outDone:    make(chan struct{}),
+		pushHist:   s.pushHist,
+		superseded: &s.superseded,
 	}
 	sess.outCond = sync.NewCond(&sess.outMu)
 
@@ -561,24 +603,32 @@ func (s *Server) register(conn net.Conn, msg *Message) (*session, error) {
 	}
 	s.wg.Add(1)
 	go s.writeLoop(sess)
-	sess.enqueue(Message{Type: TypeWelcome, AppID: msg.AppID})
+	sess.enqueue(Message{Type: TypeWelcome, AppID: msg.AppID}, false)
 	s.logf("app %d joined (%d nodes)", msg.AppID, msg.Nodes)
 	s.roundLocked("hello")
 	return sess, nil
 }
 
 // writeLoop is the session's delivery goroutine: it drains the outbox to
-// the connection in enqueue order, which makes the session's grant
-// sequence monotone on the wire. Everything one drain found queued is
+// the connection in enqueue order. Everything one drain found queued is
 // encoded into one reused buffer and leaves in one Write, so a writer
 // that fell behind catches up with one system call, not one per message.
+//
+// The writer owns the wire sequence: it stamps each grant's Seq as it
+// encodes it, so Seq counts the grants written, without gaps. It also
+// remembers the last bandwidth written, which is what the client holds,
+// and drops a drained grant carrying that same value unless the grant is
+// must (answers a request or registration).
 func (s *Server) writeLoop(sess *session) {
 	defer s.wg.Done()
 	defer close(sess.outDone)
 	var buf []outMsg
 	var wire []byte
+	var seq uint64   // grants written so far
+	var held float64 // the last written grant's bandwidth, once seq > 0
 	for {
 		sess.outMu.Lock()
+		sess.writing = false
 		for len(sess.outbox) == 0 && !sess.closing {
 			sess.outCond.Wait()
 		}
@@ -587,13 +637,28 @@ func (s *Server) writeLoop(sess *session) {
 			return
 		}
 		buf, sess.outbox = sess.outbox, buf[:0]
+		sess.writing = true
 		sess.outMu.Unlock()
 		wire = wire[:0]
 		for i := range buf {
+			m := &buf[i]
+			grant := m.msg.Type == TypeGrant
+			if grant {
+				if seq > 0 && m.msg.BW == held && !m.must {
+					sess.superseded.Add(1) // the client holds it already
+					m.enq = 0              // dropped: nothing to time
+					continue
+				}
+				m.msg.Seq = seq + 1
+			}
 			var err error
-			if wire, err = appendMessage(wire, &buf[i].msg); err != nil {
+			if wire, err = appendMessage(wire, &m.msg); err != nil {
 				s.logf("app %d: encode: %v", sess.view.ID, err)
-				buf[i].enq = 0 // skipped: nothing to time
+				m.enq = 0 // skipped: nothing to time
+				continue
+			}
+			if grant {
+				seq, held = m.msg.Seq, m.msg.BW
 			}
 		}
 		if len(wire) == 0 {
@@ -606,7 +671,7 @@ func (s *Server) writeLoop(sess *session) {
 			// and the session leaves through finish now, not when the
 			// client next speaks.
 			sess.outMu.Lock()
-			sess.closing, sess.outbox = true, nil
+			sess.closing, sess.outbox, sess.writing = true, nil, false
 			sess.outMu.Unlock()
 			sess.conn.Close()
 			return
@@ -626,7 +691,7 @@ func (s *Server) writeLoop(sess *session) {
 // serializes behind any pending grants; the handler's finish drains it
 // before the connection closes.
 func (s *Server) sessionError(sess *session, cause error) {
-	sess.enqueue(Message{Type: TypeError, Err: cause.Error()})
+	sess.enqueue(Message{Type: TypeError, Err: cause.Error()}, false)
 	s.logf("app %d: protocol error: %v", sess.view.ID, cause)
 }
 
@@ -722,10 +787,12 @@ func (s *Server) finish(sess *session) {
 
 // --- decision rounds --------------------------------------------------------
 
-// pushGrant is one outgoing grant with its target session.
+// pushGrant is one outgoing grant with its target session; must marks
+// the answer to a request or registration (see outMsg).
 type pushGrant struct {
 	sess *session
 	msg  Message
+	must bool
 }
 
 // roundLocked resolves the decision point for the current state through
@@ -810,7 +877,7 @@ func (a *applier) Apply(slot int32, bw, now float64) {
 // applyGrantLocked installs one session's bandwidth verdict, keeps the
 // scheduler-visible phase in step (the kernel's transition), and enqueues
 // a push when the verdict changed (or was never answered since the last
-// request).
+// request — such a push is must, so delivery never drops it).
 //
 //iosched:allocfree
 func (s *Server) applyGrantLocked(sess *session, bw, now float64) {
@@ -819,13 +886,14 @@ func (s *Server) applyGrantLocked(sess *session, bw, now float64) {
 	if sess.pushedValid && bw == sess.pushedBW {
 		return // unchanged verdict; don't spam the client
 	}
+	must := !sess.pushedValid
 	sess.pushedValid = true
 	sess.pushedBW = bw
-	sess.seq++
 	s.pushes++
 	s.batch = append(s.batch, pushGrant{
 		sess: sess,
-		msg:  Message{Type: TypeGrant, AppID: sess.view.ID, BW: bw, Seq: sess.seq},
+		msg:  Message{Type: TypeGrant, AppID: sess.view.ID, BW: bw},
+		must: must,
 	})
 }
 
@@ -836,7 +904,7 @@ func (s *Server) applyGrantLocked(sess *session, bw, now float64) {
 //iosched:allocfree
 func (s *Server) flushLocked() {
 	for i := range s.batch {
-		s.batch[i].sess.enqueue(s.batch[i].msg)
+		s.batch[i].sess.enqueue(s.batch[i].msg, s.batch[i].must)
 		s.batch[i].sess = nil
 	}
 	s.batch = s.batch[:0]

@@ -157,6 +157,9 @@ func replayScript(t *testing.T, pol core.Scheduler, B, b float64, script []scrip
 				t.Fatalf("t=%g: complete app %d: %v", ev.t, ev.app, err)
 			}
 		}
+		// Drained after every event, delivery is deterministic: the
+		// capable and stripped replays' wire streams compare exactly.
+		waitWritersIdle(t, sessions)
 		snap := make(map[int]float64, len(sessions))
 		for id, sess := range sessions {
 			snap[id] = sess.bw

@@ -129,6 +129,9 @@ func TestSetPolicySwitchesAndRepushes(t *testing.T) {
 		}
 	}
 	want := sessions[3].bw
+	// Let the post-switch grants reach the wire before the departures
+	// below supersede them.
+	waitWritersIdle(t, sessions)
 	m := srv.Metrics()
 	if m.PolicySwitches != 1 || m.Policy != "fair-share" {
 		t.Errorf("metrics after switch = %+v", m)

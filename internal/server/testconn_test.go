@@ -7,6 +7,8 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"testing"
 	"time"
 )
 
@@ -59,27 +61,42 @@ func (c *recordConn) SetDeadline(time.Time) error      { return nil }
 func (c *recordConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
 
-// gateConn records each Write as one string and holds the first inside
-// the call until release closes, so a test can queue messages behind a
-// writer that is busy on the socket.
+// gateConn records each Write as one string. While held is set, a Write
+// announces itself on began and waits inside the call for a token on
+// release (or for release to close), so a test can queue messages behind
+// a writer that is busy on the socket and decide when each drain leaves.
 type gateConn struct {
 	discardConn
-	began   chan struct{} // one token per Write call begun
+	began   chan struct{} // one token per held Write begun
 	release chan struct{}
+	held    atomic.Bool
 	mu      sync.Mutex
 	writes  []string
+}
+
+func newGateConn(held bool) *gateConn {
+	c := &gateConn{began: make(chan struct{}, 8), release: make(chan struct{})}
+	c.held.Store(held)
+	return c
 }
 
 func (c *gateConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	c.writes = append(c.writes, string(b))
-	first := len(c.writes) == 1
 	c.mu.Unlock()
-	c.began <- struct{}{}
-	if first {
+	if c.held.Load() {
+		c.began <- struct{}{}
 		<-c.release
 	}
 	return len(b), nil
+}
+
+// messages decodes every line written so far.
+func (c *gateConn) messages() ([]*Message, error) {
+	c.mu.Lock()
+	all := strings.Join(c.writes, "")
+	c.mu.Unlock()
+	return decodeLines(all)
 }
 
 // failConn is a peer that went away without a word: every Write fails,
@@ -111,10 +128,15 @@ func (c *failConn) Close() error {
 // messages decodes every line written so far.
 func (c *recordConn) messages() ([]*Message, error) {
 	c.mu.Lock()
-	lines := strings.Split(strings.TrimSuffix(c.buf.String(), "\n"), "\n")
+	all := c.buf.String()
 	c.mu.Unlock()
+	return decodeLines(all)
+}
+
+// decodeLines decodes newline-terminated JSON messages.
+func decodeLines(s string) ([]*Message, error) {
 	var out []*Message
-	for _, l := range lines {
+	for _, l := range strings.Split(strings.TrimSuffix(s, "\n"), "\n") {
 		if l == "" {
 			continue
 		}
@@ -125,4 +147,29 @@ func (c *recordConn) messages() ([]*Message, error) {
 		out = append(out, m)
 	}
 	return out, nil
+}
+
+// waitWritersIdle blocks until every session's writer is parked with an
+// empty outbox: everything enqueued so far has been written or dropped.
+// Between drains no grant can supersede another, so a test that drains
+// after each round sees every round's grants on the wire.
+func waitWritersIdle(t *testing.T, sessions map[int]*session) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, sess := range sessions {
+		for !sess.idle() {
+			if time.Now().After(deadline) {
+				t.Fatalf("app %d: writer still busy after 5s", sess.view.ID)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+}
+
+// idle reports whether the session's writer holds no batch and nothing
+// is queued for it.
+func (sess *session) idle() bool {
+	sess.outMu.Lock()
+	defer sess.outMu.Unlock()
+	return len(sess.outbox) == 0 && !sess.writing
 }

@@ -3,39 +3,47 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// TestWriterBatchesDrain checks delivery is one Write per outbox drain:
-// grants queued while the writer sits in a Write leave together in the
-// next one, in seq order, as the bytes three json.Marshals give.
+// TestWriterBatchesDrain checks delivery is one Write per outbox drain and
+// only the latest grant leaves: three grants queued while the writer sits
+// in a Write supersede one another in the outbox, and the next Write
+// carries one line — the last value, stamped seq 1 by the writer — as
+// the bytes json.Marshal gives.
 func TestWriterBatchesDrain(t *testing.T) {
 	srv, err := New(Config{Policy: core.FairShare{}, TotalBW: 10, NodeBW: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// Two Writes are expected; the buffer keeps a third from hanging the
-	// writer instead of failing the count below.
-	conn := &gateConn{began: make(chan struct{}, 8), release: make(chan struct{})}
+	// Two Writes are expected; began's buffer keeps a third from hanging
+	// the writer instead of failing the count below.
+	conn := newGateConn(true)
 	sess, err := srv.register(conn, &Message{Type: TypeHello, AppID: 7, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-conn.began // the writer is inside the welcome's Write
-	want := ""
-	for seq := uint64(1); seq <= 3; seq++ {
-		g := Message{Type: TypeGrant, AppID: 7, BW: 1 / float64(seq), Seq: seq}
-		sess.enqueue(g)
-		b, err := json.Marshal(&g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += string(b) + "\n"
+	for i := 1; i <= 3; i++ {
+		sess.enqueue(Message{Type: TypeGrant, AppID: 7, BW: 1 / float64(i)}, false)
 	}
+	sess.outMu.Lock()
+	queued := len(sess.outbox)
+	sess.outMu.Unlock()
+	if queued != 1 {
+		t.Errorf("%d entries queued behind the writer, want the one latest grant", queued)
+	}
+	b, err := json.Marshal(&Message{Type: TypeGrant, AppID: 7, BW: 1.0 / 3, Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(b) + "\n"
 	close(conn.release)
 	<-conn.began
 	srv.finish(sess) // returns once the writer has exited
@@ -49,6 +57,9 @@ func TestWriterBatchesDrain(t *testing.T) {
 	}
 	if conn.writes[1] != want {
 		t.Errorf("batched write\n got %q\nwant %q", conn.writes[1], want)
+	}
+	if n := srv.Metrics().GrantsSuperseded; n != 2 {
+		t.Errorf("GrantsSuperseded = %d, want the 2 replaced grants", n)
 	}
 }
 
@@ -108,6 +119,124 @@ func TestDeadWriterClosesOutbox(t *testing.T) {
 	}
 }
 
+// TestOutboxBounded pins the outbox bound and what a released writer
+// sends. Behind a writer stuck in a Write, 10,000 rounds that flip one
+// session's verdict leave at most three entries queued — the welcome, one
+// grant, one error — where every verdict used to queue. Released, the
+// writer sends what the client lacks: one line carrying the latest value
+// and the next seq if it differs from the value last written, nothing if
+// it does not, and one line if a request's answer was among the grants
+// superseded meanwhile.
+func TestOutboxBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		answered bool // x completes and re-requests amid the flips
+		flipped  bool // one flip more: the latest verdict differs from the value written
+		want     []Message
+	}{
+		{"changed", false, true, []Message{{Type: TypeGrant, AppID: 1, BW: 4, Seq: 3}}},
+		{"unchanged", false, false, nil},
+		{"answered", true, false, []Message{{Type: TypeGrant, AppID: 1, BW: 2, Seq: 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Policy: core.FairShare{}, TotalBW: 4, NodeBW: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			xc, yc := newGateConn(false), newGateConn(false)
+			x, err := srv.register(xc, &Message{Type: TypeHello, AppID: 1, Nodes: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := srv.register(yc, &Message{Type: TypeHello, AppID: 2, Nodes: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.finish(y)
+			defer srv.finish(x)
+			released := false
+			release := func() {
+				if !released {
+					released = true
+					xc.held.Store(false)
+					close(xc.release)
+				}
+			}
+			defer release() // before finish, should a check fail while x's writer is held
+			both := map[int]*session{1: x, 2: y}
+			dispatch := func(sess *session, m *Message) {
+				if err := srv.dispatch(sess, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req, done := &Message{Type: TypeRequest, Volume: 100}, &Message{Type: TypeComplete}
+			dispatch(x, req) // x alone: the full 4
+			waitWritersIdle(t, both)
+			xc.held.Store(true)
+			dispatch(y, req) // x's share halves to 2, and its writer sticks in that Write
+			<-xc.began
+			peak := 0
+			for i := 0; i < 10000; i++ {
+				if i%2 == 0 {
+					dispatch(y, done) // x back to 4
+				} else {
+					dispatch(y, req) // x down to 2
+				}
+				if tc.answered && i == 5000 {
+					dispatch(x, done)
+					dispatch(x, req) // answered with 4 while alone, then flipped on
+				}
+				x.outMu.Lock()
+				peak = max(peak, len(x.outbox))
+				x.outMu.Unlock()
+			}
+			if tc.flipped {
+				dispatch(y, done)
+			}
+			if peak > 3 {
+				t.Fatalf("outbox reached %d entries behind a stuck writer, want <= 3", peak)
+			}
+			release()
+			waitWritersIdle(t, both)
+
+			msgs, err := xc.messages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Message
+			for _, m := range msgs {
+				got = append(got, *m)
+			}
+			want := append([]Message{
+				{Type: TypeWelcome, AppID: 1},
+				{Type: TypeGrant, AppID: 1, BW: 4, Seq: 1},
+				{Type: TypeGrant, AppID: 1, BW: 2, Seq: 2}, // held in the stuck Write
+			}, tc.want...)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("x's wire\n got %v\nwant %v", got, want)
+			}
+
+			// Every grant enqueued was written or counted superseded.
+			lines := uint64(0)
+			for _, c := range []*gateConn{xc, yc} {
+				msgs, err := c.messages()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range msgs {
+					if m.Type == TypeGrant {
+						lines++
+					}
+				}
+			}
+			if m := srv.Metrics(); lines != m.GrantPushes-m.GrantsSuperseded {
+				t.Errorf("%d grant lines written, want pushes %d - superseded %d", lines, m.GrantPushes, m.GrantsSuperseded)
+			}
+		})
+	}
+}
+
 // tallyConn reports how many lines each Write carried.
 type tallyConn struct {
 	discardConn
@@ -145,12 +274,23 @@ func TestPushRoundAllocationFree(t *testing.T) {
 		sess = append(sess, s)
 	}
 	written := uint64(0)
-	settle := func() { // until every welcome and every grant pushed so far is written
-		srv.mu.Lock()
-		want := sessions + srv.pushes
-		srv.mu.Unlock()
-		for written < want {
-			written += uint64(<-lines)
+	// settle waits until every welcome and every grant pushed so far that
+	// reaches the wire is written. A writer counts a dropped grant only
+	// when it drains it, so the target is re-read until the two meet.
+	settle := func() {
+		for {
+			srv.mu.Lock()
+			want := sessions + srv.pushes - srv.superseded.Load()
+			srv.mu.Unlock()
+			if written >= want {
+				return
+			}
+			select {
+			case n := <-lines:
+				written += uint64(n)
+			default:
+				runtime.Gosched()
+			}
 		}
 	}
 	req := &Message{Type: TypeRequest, Volume: 100, Work: 0.01, IdealTime: 0.02}
