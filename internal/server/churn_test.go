@@ -107,6 +107,64 @@ func TestNoZeroGrantRepush(t *testing.T) {
 	}
 }
 
+// TestRerequestOwedAnswer: a candidate that requests again while it is
+// still a candidate is owed an answer even when the verdict does not
+// change — a round on the full-decision path (two candidates whose demand
+// exceeds B, so neither the single nor the Saturating skip applies) must
+// deliver the unchanged grant, and a granted session's view must be back
+// in Transferring/Started after the request reset it to Pending.
+func TestRerequestOwedAnswer(t *testing.T) {
+	srv, addr := startServer(t, core.MaxSysEff()) // B=10, b=1
+
+	// The hog credits no work, so its β·ρ̃ is 0 and MaxSysEff always
+	// serves it first; the victim is left with nothing.
+	hog := dialRaw(t, addr)
+	hog.send(`{"type":"hello","app_id":1,"nodes":10}`)
+	hog.expect(TypeWelcome, 2*time.Second)
+	hog.send(`{"type":"request","volume_gib":1000}`)
+	if m := hog.expect(TypeGrant, 2*time.Second); m.BW != 10 {
+		t.Fatalf("hog granted %g, want the full 10", m.BW)
+	}
+	victim := dialRaw(t, addr)
+	victim.send(`{"type":"hello","app_id":2,"nodes":10}`)
+	victim.expect(TypeWelcome, 2*time.Second)
+	victim.send(`{"type":"request","volume_gib":1000,"work_s":100,"ideal_s":200}`)
+	if m := victim.expect(TypeGrant, 2*time.Second); m.BW != 0 || m.Seq != 1 {
+		t.Fatalf("victim's verdict = bw %g seq %d, want a zero with seq 1", m.BW, m.Seq)
+	}
+
+	decisions := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.k.Decisions
+	}
+	for _, c := range []struct {
+		name string
+		rc   *rawClient
+		id   int
+		bw   float64
+	}{{"hog", hog, 1, 10}, {"victim", victim, 2, 0}} {
+		before := decisions()
+		c.rc.send(`{"type":"request","volume_gib":500}`)
+		m := c.rc.next(2 * time.Second)
+		if m == nil {
+			t.Fatalf("%s re-requested as a candidate and was never answered", c.name)
+		}
+		if m.Type != TypeGrant || m.BW != c.bw || m.Seq != 2 {
+			t.Fatalf("%s's answer = %q bw %g seq %d, want grant bw %g seq 2", c.name, m.Type, m.BW, m.Seq, c.bw)
+		}
+		if after := decisions(); after != before+1 {
+			t.Fatalf("%s's request ran %d policy decisions, want 1 (the full-decision path)", c.name, after-before)
+		}
+		srv.mu.Lock()
+		v := srv.reg.get(c.id).view
+		srv.mu.Unlock()
+		if granted := c.bw > 0; granted && (v.Phase != core.Transferring || !v.Started) || !granted && v.Phase != core.Pending {
+			t.Errorf("%s holds bw %g but its view is phase %v started %v", c.name, c.bw, v.Phase, v.Started)
+		}
+	}
+}
+
 // TestWakeTimerDisarmedOnEmptyCandidates is the regression test for the
 // stale wake timer: when the candidate set empties (last complete, or the
 // last I/O-wanting session dropping), an armed Waker timer must be
