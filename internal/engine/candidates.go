@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -32,6 +33,16 @@ type Candidates struct {
 	round   uint64
 	stamp   []uint64
 	granted []float64
+
+	// applied/watch remember what the slots hold, so a verdict applies only
+	// what it changes. applied[slot] is the bandwidth the slot last
+	// received, NaN while it is owed an answer (it joined, or was re-added
+	// as a member, since). watch lists each slot whose applied value is
+	// nonzero — the slots the last verdict gave bandwidth, plus those owed
+	// an answer — exactly once; it may still hold slots that left since,
+	// which the next verdict drops.
+	applied []float64
+	watch   []int32
 }
 
 // viewState says how the ordered view stands against the membership. It
@@ -53,9 +64,10 @@ const (
 
 // Reserve sizes the per-slot storage of an empty set for slots [0, n) at
 // once, so an engine with a fixed population never grows it: no later
-// add, rebuild or patch reallocates.
+// add, rebuild, patch or grant reallocates.
 func (c *Candidates) Reserve(n int) {
 	c.pos, c.view, c.members = make([]int32, n), make([]*core.AppView, n), make([]int32, 0, n)
+	c.applied, c.watch = make([]float64, n), make([]int32, 0, n)
 }
 
 // Len returns the number of candidates.
@@ -69,14 +81,21 @@ func (c *Candidates) Len() int { return len(c.members) }
 func (c *Candidates) Has(slot int32) bool { return uint(slot) < uint(len(c.pos)) && c.pos[slot] != 0 }
 
 // add makes slot, with view v, a candidate; it reports whether the
-// membership changed. The per-slot storage grows to cover slot.
+// membership changed. Either way the slot is owed an answer: the next
+// verdict applies its bandwidth even when unchanged. The per-slot storage
+// grows to cover slot.
 //
 //iosched:allocfree
 func (c *Candidates) add(slot int32, v *core.AppView) bool {
 	for int(slot) >= len(c.pos) {
 		c.pos = append(c.pos, 0)
 		c.view = append(c.view, nil)
+		c.applied = append(c.applied, 0)
 	}
+	if c.applied[slot] == 0 {
+		c.watch = append(c.watch, slot)
+	}
+	c.applied[slot] = math.NaN()
 	if c.pos[slot] != 0 {
 		return false
 	}
@@ -195,46 +214,98 @@ func (c *Candidates) Demand(nodeBW float64) float64 {
 //
 //iosched:allocfree
 func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
+	for _, s := range c.watch {
+		c.applied[s] = 0
+	}
+	c.watch = c.watch[:0]
 	for _, s := range c.members {
 		bw := float64(c.view[s].Nodes) * nodeBW
 		if bw > limit {
 			bw = limit
 		}
 		set.Apply(s, bw, now)
+		c.record(s, bw)
 	}
 }
 
-// Grant applies a policy verdict: each grant stamps the slot whose view
-// carries its ID, and every candidate the verdict omits receives zero.
-// The slot numbered like the ID is tried first — where slots are IDs (the
-// simulator on every generated workload) that resolves a grant in O(1) —
-// and otherwise a binary search over the ordered view the policy just
-// read finds it.
+// Grant applies a policy verdict: each grant names the slot whose view
+// carries its ID, and every candidate the verdict omits gets zero. It
+// applies only what changes — a zero to each watched slot the verdict
+// omits, a grant whose value differs from what its slot holds — and every
+// answer owed: O(grants + previously granted + joined), not
+// O(candidates).
+//
+// A skipped apply changes nothing. The slot holds that bandwidth since its
+// last Apply, and nothing but an owed answer (add) has touched its phase
+// since: the view is already in the state Kernel.Transition leaves it in
+// for that value — same Phase, Started set when granted — so Transition
+// would bump no Version and the memo is unaffected; the engine's own side
+// effects of that value (the simulator's transferring set, the daemon's
+// pushedValid && bw == pushedBW) are in place too. Zeros are applied
+// before grants, each group in watch and verdict order respectively.
 //
 //iosched:allocfree
 func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
-	views := c.Views()
+	c.Views()
 	if len(c.stamp) < len(c.pos) {
 		//iosched:allocfree-allow first grant, or a grown slot space: sized for every slot
 		c.stamp, c.granted = make([]uint64, len(c.pos)), make([]float64, len(c.pos))
 	}
 	c.round++
 	for _, g := range grants {
-		s := int32(g.AppID)
-		if int(s) != g.AppID || !c.Has(s) || c.view[s].ID != g.AppID {
-			i := c.search(g.AppID, -1)
-			if i == len(views) || views[i].ID != g.AppID {
-				continue // no such candidate
-			}
-			s = c.sorted[i]
+		if s, ok := c.lookup(g.AppID); ok {
+			c.stamp[s], c.granted[s] = c.round, g.BW
 		}
-		c.stamp[s], c.granted[s] = c.round, g.BW
 	}
-	for _, s := range c.members {
-		bw := 0.0
+	for _, s := range c.watch {
 		if c.stamp[s] == c.round {
-			bw = c.granted[s]
+			continue // granted: below
 		}
-		set.Apply(s, bw, now)
+		if c.Has(s) {
+			set.Apply(s, 0, now)
+		}
+		c.applied[s] = 0
 	}
+	c.watch = c.watch[:0]
+	for _, g := range grants {
+		s, ok := c.lookup(g.AppID)
+		if !ok || c.stamp[s] != c.round {
+			continue // no such candidate, or a repeated ID already applied
+		}
+		c.stamp[s] = 0
+		if bw := c.granted[s]; c.applied[s] != bw { // NaN, owed, never equals
+			set.Apply(s, bw, now)
+			c.record(s, bw)
+		} else if bw != 0 {
+			c.watch = append(c.watch, s)
+		}
+	}
+}
+
+// record notes that slot received bw; the slot was off the watch list.
+//
+//iosched:allocfree
+func (c *Candidates) record(slot int32, bw float64) {
+	c.applied[slot] = bw
+	if bw != 0 {
+		c.watch = append(c.watch, slot)
+	}
+}
+
+// lookup returns the candidate slot whose view carries id. The slot
+// numbered like the ID is tried first — where slots are IDs (the simulator
+// on every generated workload) that resolves it in O(1) — and otherwise a
+// binary search over the ordered view finds it.
+//
+//iosched:allocfree
+func (c *Candidates) lookup(id int) (int32, bool) {
+	s := int32(id)
+	if int(s) == id && c.Has(s) && c.view[s].ID == id {
+		return s, true
+	}
+	i := c.search(id, -1)
+	if i == len(c.want) || c.want[i].ID != id {
+		return 0, false
+	}
+	return c.sorted[i], true
 }

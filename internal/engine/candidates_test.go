@@ -93,24 +93,35 @@ func TestViewCacheMatchesRebuild(t *testing.T) {
 
 // candHarness drives a Candidates the way the daemon does: slots come
 // from an arena with a free list, and a session joins (a slot is
-// allocated), requests (add), completes (remove) and leaves (remove, the
-// slot is freed for reuse). It is also the Set the grants are applied
-// through, and it checks every read and every verdict against a model.
+// allocated), requests (add, also while already a member), completes
+// (remove) and leaves (remove, the slot is freed for reuse). It is also
+// the Set the grants are applied through, and it checks every read and
+// every verdict against a model of what each slot holds: a verdict must
+// deliver every changed bandwidth and every owed answer exactly once, and
+// nothing else.
 type candHarness struct {
-	tb      testing.TB
-	c       Candidates
-	arena   []*core.AppView // slot → the owner's view; nil when free
-	free    []int32
-	member  []bool // the model's membership, by slot
-	joins   int
-	applied []float64 // the last verdict, by slot; NaN when not applied
+	tb     testing.TB
+	c      Candidates
+	arena  []*core.AppView // slot → the owner's view; nil when free
+	free   []int32
+	member []bool // the model's membership, by slot
+	joins  int
+
+	// held is the bandwidth each member last received; owed marks the
+	// members that requested since their last answer (and every member
+	// that joined since), which the next verdict must answer even when
+	// unchanged.
+	held []float64
+	owed []bool
+	// got is what the current verdict applied, by slot; NaN when nothing.
+	got []float64
 }
 
 func (h *candHarness) Apply(slot int32, bw, _ float64) {
-	if !h.member[slot] || !math.IsNaN(h.applied[slot]) {
-		h.tb.Fatalf("verdict applied to slot %d: member %v, applied before %g", slot, h.member[slot], h.applied[slot])
+	if !h.member[slot] || !math.IsNaN(h.got[slot]) {
+		h.tb.Fatalf("verdict applied to slot %d: member %v, applied before %g", slot, h.member[slot], h.got[slot])
 	}
-	h.applied[slot] = bw
+	h.got[slot] = bw
 }
 
 // pick maps an operand to an occupied slot, or -1 when there is none.
@@ -138,7 +149,9 @@ func (h *candHarness) step(op, arg byte) {
 			slot = int32(len(h.arena))
 			h.arena = append(h.arena, nil)
 			h.member = append(h.member, false)
-			h.applied = append(h.applied, 0)
+			h.held = append(h.held, 0)
+			h.owed = append(h.owed, false)
+			h.got = append(h.got, 0)
 		}
 		h.joins++
 		id := int(arg)<<32 | h.joins // never a slot number
@@ -149,12 +162,12 @@ func (h *candHarness) step(op, arg byte) {
 			id = -h.joins
 		}
 		h.arena[slot] = &core.AppView{ID: id, Nodes: 1 + int(arg%8), Phase: core.Pending}
-	case 1: // request
+	case 1: // request: joins the set, or re-requests as a member
 		if s := h.pick(arg); s >= 0 {
 			if h.c.add(s, h.arena[s]) == h.member[s] {
-				h.tb.Fatalf("add(%d) changed membership %v: a member is re-added as a no-op", s, h.member[s])
+				h.tb.Fatalf("add(%d) changed membership %v: a member is re-added without a membership change", s, h.member[s])
 			}
-			h.member[s] = true
+			h.member[s], h.owed[s] = true, true
 		}
 	case 2, 3: // complete; leave also releases the slot
 		if s := h.pick(arg); s >= 0 {
@@ -170,11 +183,17 @@ func (h *candHarness) step(op, arg byte) {
 	case 4:
 		h.checkViews()
 	case 5:
-		h.checkGrant(arg)
+		if arg%4 == 3 {
+			h.checkGrantFull(arg)
+		} else {
+			h.checkGrant(arg)
+		}
 	}
 }
 
-// checkViews compares a read against an ID-sorted rebuild from the model.
+// checkViews compares a read against an ID-sorted rebuild from the model,
+// and checks that the watch list holds each slot that holds bandwidth or
+// is owed an answer exactly once.
 func (h *candHarness) checkViews() {
 	var want []int32
 	demand := 0.0
@@ -200,13 +219,29 @@ func (h *candHarness) checkViews() {
 			h.tb.Fatalf("position %d: view of ID %d, want the owner's view of slot %d (ID %d)", i, views[i].ID, s, h.arena[s].ID)
 		}
 	}
+	seen := make(map[int32]bool)
+	for _, s := range h.c.watch {
+		if seen[s] || h.c.applied[s] == 0 {
+			h.tb.Fatalf("watch %v: slot %d repeated or holding zero", h.c.watch, s)
+		}
+		seen[s] = true
+	}
+	for s, a := range h.c.applied {
+		if a != 0 && !seen[int32(s)] {
+			h.tb.Fatalf("slot %d holds %g but is not watched (watch %v)", s, a, h.c.watch)
+		}
+		if h.member[s] && !h.owed[s] && a != h.held[s] {
+			h.tb.Fatalf("slot %d recorded as holding %g, model %g", s, a, h.held[s])
+		}
+	}
 }
 
 // checkGrant stamps a verdict — a subset of the candidates in scrambled
-// order, plus grants to IDs that are no candidate's, among them slot
-// numbers of occupied slots — walks it, and checks that every grant
+// order, some at the value they hold, some changed, some granted an
+// explicit zero, plus grants to IDs that are no candidate's, among them
+// slot numbers of occupied slots — walks it, and checks that every grant
 // landed on the slot whose view carries its ID and every omitted
-// candidate received zero.
+// candidate holds zero.
 func (h *candHarness) checkGrant(arg byte) {
 	h.c.Views() // the policy reads before it grants
 	var grants []core.Grant
@@ -216,10 +251,13 @@ func (h *candHarness) checkGrant(arg byte) {
 			continue
 		}
 		want[int32(s)] = 0
-		if (s+int(arg))%3 != 0 {
-			bw := float64(1 + s)
+		switch (s + int(arg)) % 4 {
+		case 1, 2:
+			bw := float64(1 + (7*s+int(arg))%3)
 			grants = append(grants, core.Grant{AppID: h.arena[s].ID, BW: bw})
 			want[int32(s)] = bw
+		case 3:
+			grants = append(grants, core.Grant{AppID: h.arena[s].ID, BW: 0})
 		}
 	}
 	ids := map[int]bool{}
@@ -235,20 +273,53 @@ func (h *candHarness) checkGrant(arg byte) {
 	}
 	grants = append(grants, core.Grant{AppID: 1 << 40, BW: 99})
 	rand.New(rand.NewSource(int64(arg))).Shuffle(len(grants), func(i, j int) { grants[i], grants[j] = grants[j], grants[i] })
-	for s := range h.applied {
-		h.applied[s] = math.NaN()
+	h.expect(want, func() { h.c.Grant(h, grants, 0) })
+}
+
+// checkGrantFull applies min(β·b, limit) and checks that, unlike Grant,
+// it answers every candidate.
+func (h *candHarness) checkGrantFull(arg byte) {
+	limit := float64(1 + arg%8)
+	want := make(map[int32]float64)
+	for s, m := range h.member {
+		if m {
+			want[int32(s)] = min(float64(h.arena[s].Nodes), limit)
+			h.owed[s] = true
+		}
 	}
-	h.c.Grant(h, grants, 0)
-	for s := range h.applied {
+	h.expect(want, func() { h.c.GrantFull(h, 1, limit, 0) })
+}
+
+// expect runs a verdict and checks it against the model: a member is
+// applied its value exactly when it is owed an answer or its value
+// changed, a non-member never; then every member holds its value.
+func (h *candHarness) expect(want map[int32]float64, verdict func()) {
+	for s := range h.got {
+		h.got[s] = math.NaN()
+	}
+	verdict()
+	for s, got := range h.got {
 		bw, ok := want[int32(s)]
-		if got := h.applied[s]; ok && got != bw || !ok && !math.IsNaN(got) {
-			h.tb.Fatalf("slot %d (member %v) received %g, want %g", s, ok, got, bw)
+		switch {
+		case !ok:
+			if !math.IsNaN(got) {
+				h.tb.Fatalf("non-member slot %d received %g", s, got)
+			}
+		case h.owed[s] || h.held[s] != bw:
+			if got != bw {
+				h.tb.Fatalf("slot %d (owed %v, held %g) received %g, want %g", s, h.owed[s], h.held[s], got, bw)
+			}
+		case !math.IsNaN(got):
+			h.tb.Fatalf("slot %d holds %g and was applied %g again", s, bw, got)
+		}
+		if ok {
+			h.held[s], h.owed[s] = bw, false
 		}
 	}
 }
 
-// runOps interprets b as (operation, operand) byte pairs, then reads once
-// more so every sequence ends checked.
+// runOps interprets b as (operation, operand) byte pairs, then reads and
+// grants once more so every sequence ends checked.
 func runOps(t *testing.T, b []byte) {
 	h := &candHarness{tb: t}
 	for i := 0; i+1 < len(b); i += 2 {
@@ -256,11 +327,13 @@ func runOps(t *testing.T, b []byte) {
 	}
 	h.checkViews()
 	h.checkGrant(0)
+	h.checkViews()
 }
 
 // TestCandidatesServerShaped drives random daemon histories: slots
-// allocated and freed with reuse, interleaved join, request, complete and
-// leave, reads, and grants stamped and walked.
+// allocated and freed with reuse, interleaved join, request (also
+// re-request), complete and leave, reads, and verdicts applied in full
+// and as a policy's grants.
 func TestCandidatesServerShaped(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

@@ -19,9 +19,11 @@ import (
 )
 
 // Set is what differs between the engines: the side effect of one
-// candidate's bandwidth verdict. Apply receives every bandwidth a decision
-// point assigns, slot by slot; an implementation passes it through
-// Kernel.Transition.
+// candidate's bandwidth verdict. Apply receives every bandwidth that
+// changed, plus one for each slot owed an answer (Kernel.Add), slot by
+// slot; an implementation passes it through Kernel.Transition. A slot that
+// receives nothing holds its previous bandwidth, and its side effects stand
+// (Candidates.Grant says why that is sound).
 type Set interface {
 	Apply(slot int32, bw, now float64)
 }
@@ -77,8 +79,10 @@ func New(p core.Scheduler, trace dectrace.Sink, check bool) Kernel {
 func (k *Kernel) Policy() core.Scheduler { return k.policy }
 
 // Add makes slot, with its view v, a candidate, and Remove withdraws it.
-// A membership change bumps Version; adding a member or removing a
-// non-member changes nothing.
+// A membership change bumps Version; removing a non-member changes
+// nothing. Adding a member changes no membership but owes it an answer:
+// the next verdict applies its bandwidth even when unchanged (the daemon's
+// re-request, whose view went back to Pending and not Started).
 //
 //iosched:allocfree
 func (k *Kernel) Add(slot int32, v *core.AppView) {

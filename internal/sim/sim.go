@@ -216,6 +216,9 @@ type simulation struct {
 	// version, the decision memo and the decision/skip counters
 	// (internal/engine).
 	k engine.Kernel
+	// set receives the kernel's verdicts: the simulation itself (Apply);
+	// a test may wrap it.
+	set engine.Set
 
 	// firedKinds is the bitmask of phase transitions the current event
 	// instant fired, reset by fireDue; it names the decision trigger in
@@ -263,6 +266,7 @@ func newArena(cfg Config) *simulation {
 	n := len(cfg.Apps)
 	s := &simulation{cfg: cfg, p: cfg.Platform,
 		k: engine.New(cfg.Scheduler, cfg.DecisionTrace, cfg.CheckGrants)}
+	s.set = s
 	s.apps = make([]appState, n)
 	s.k.Cands.Reserve(n)
 	idx := make([]int32, 2*n)
@@ -765,7 +769,7 @@ func (s *simulation) capacity() core.Capacity {
 // decide resolves the decision point at the current instant through the
 // kernel, then captures it: the two always go together.
 func (s *simulation) decide() {
-	s.k.Decide(s, s.now, s.capacity(), kindStrings[s.firedKinds])
+	s.k.Decide(s.set, s.now, s.capacity(), kindStrings[s.firedKinds])
 	s.observe()
 }
 
