@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -257,9 +258,7 @@ func (f FairShare) Allocate(now float64, apps []*AppView, cap Capacity) []Grant 
 
 // AllocateInto implements ScratchAllocator.
 func (FairShare) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	scr.byID = append(scr.byID[:0], apps...)
-	order := scr.byID
-	sortViewsStable(order, func(a, b *AppView) bool { return a.ID < b.ID })
+	order := idOrder(scr, apps)
 	scr.caps = grow(scr.caps, len(order))
 	scr.shares = grow(scr.shares, len(order))
 	scr.idx = grow(scr.idx, len(order))
@@ -274,6 +273,18 @@ func (FairShare) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Ca
 		}
 	}
 	return scr.grants
+}
+
+// idOrder returns apps ascending by ID: apps itself when it already is —
+// the engines' candidate views arrive in ID order, and a stable sort of a
+// sorted slice is the identity — else a stably sorted copy in scr.byID.
+func idOrder(scr *Scratch, apps []*AppView) []*AppView {
+	if slices.IsSortedFunc(apps, func(a, b *AppView) int { return cmp.Compare(a.ID, b.ID) }) {
+		return apps
+	}
+	scr.byID = append(scr.byID[:0], apps...)
+	sortViewsStable(scr.byID, func(a, b *AppView) bool { return a.ID < b.ID })
+	return scr.byID
 }
 
 // ProportionalShare is a baseline that splits bandwidth proportionally to
@@ -304,9 +315,7 @@ func (p ProportionalShare) Allocate(now float64, apps []*AppView, cap Capacity) 
 
 // AllocateInto implements ScratchAllocator.
 func (ProportionalShare) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	scr.byID = append(scr.byID[:0], apps...)
-	order := scr.byID
-	sortViewsStable(order, func(a, b *AppView) bool { return a.ID < b.ID })
+	order := idOrder(scr, apps)
 	scr.caps = grow(scr.caps, len(order))
 	scr.weights = grow(scr.weights, len(order))
 	scr.shares = grow(scr.shares, len(order))
