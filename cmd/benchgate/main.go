@@ -17,7 +17,9 @@
 //     may exceed it only by the small absolute slack (a few allocations
 //     of scheduling jitter), never by a factor. A reintroduced per-event
 //     or per-candidate allocation fails it on any hardware (requires
-//     -benchmem output).
+//     -benchmem output). A recorded 0 is a hard floor with no slack: a
+//     zero-allocation path that allocates at all fails. A row without
+//     allocs_per_op is not checked for allocations.
 //
 // Benchmarks present in only one of the two sides are ignored, so adding
 // a benchmark does not require regenerating the baseline. Use -require to
@@ -56,10 +58,12 @@ type Baseline struct {
 	Notes      []string            `json:"notes,omitempty"`
 }
 
-// BenchRef is one benchmark's reference measurement.
+// BenchRef is one benchmark's reference measurement. AllocsPerOp is nil
+// when the row records no allocation count, which is not the same as a
+// recorded 0.
 type BenchRef struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 // measurement is one parsed benchmark line.
@@ -70,13 +74,13 @@ type measurement struct {
 
 // result is one benchmark's verdict against the baseline.
 type result struct {
-	Name           string  `json:"name"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	BaselineNs     float64 `json:"baseline_ns_per_op"`
-	Ratio          float64 `json:"ratio"`
-	AllocsPerOp    float64 `json:"allocs_per_op,omitempty"`
-	BaselineAllocs float64 `json:"baseline_allocs_per_op,omitempty"`
-	Status         string  `json:"status"`
+	Name           string   `json:"name"`
+	NsPerOp        float64  `json:"ns_per_op"`
+	BaselineNs     float64  `json:"baseline_ns_per_op"`
+	Ratio          float64  `json:"ratio"`
+	AllocsPerOp    *float64 `json:"allocs_per_op,omitempty"`
+	BaselineAllocs *float64 `json:"baseline_allocs_per_op,omitempty"`
+	Status         string   `json:"status"`
 }
 
 var step string
@@ -131,30 +135,12 @@ func main() {
 	var results []result
 	failed := 0
 	for _, name := range names {
-		m := measured[name]
 		ref, ok := base.Benchmarks[name]
 		if !ok || ref.NsPerOp <= 0 {
 			continue
 		}
-		r := result{
-			Name:       name,
-			NsPerOp:    m.nsPerOp,
-			BaselineNs: ref.NsPerOp,
-			Ratio:      m.nsPerOp / ref.NsPerOp,
-			Status:     "ok",
-		}
-		if r.Ratio > *factor {
-			r.Status = "FAIL(ns/op)"
-			failed++
-		}
-		if ref.AllocsPerOp > 0 && m.allocsPerOp >= 0 {
-			r.AllocsPerOp = m.allocsPerOp
-			r.BaselineAllocs = ref.AllocsPerOp
-			if m.allocsPerOp > ref.AllocsPerOp+*allocSlack {
-				r.Status = "FAIL(allocs/op)"
-				failed++
-			}
-		}
+		r, fails := check(name, measured[name], ref, *factor, *allocSlack)
+		failed += fails
 		results = append(results, r)
 	}
 
@@ -181,9 +167,9 @@ func main() {
 	} else {
 		for _, r := range results {
 			allocNote := ""
-			if r.BaselineAllocs > 0 {
+			if r.BaselineAllocs != nil {
 				allocNote = fmt.Sprintf("  allocs %6.0f/%6.0f (%+.0f)",
-					r.AllocsPerOp, r.BaselineAllocs, r.AllocsPerOp-r.BaselineAllocs)
+					*r.AllocsPerOp, *r.BaselineAllocs, *r.AllocsPerOp-*r.BaselineAllocs)
 			}
 			fmt.Printf("%-40s %14.0f ns/op  baseline %14.0f  ratio %5.2f%s  %s\n",
 				r.Name, r.NsPerOp, r.BaselineNs, r.Ratio, allocNote, r.Status)
@@ -193,9 +179,41 @@ func main() {
 		fatal("no measured benchmark matched the baseline (names: %v)", keys(base.Benchmarks))
 	}
 	if failed > 0 {
-		fatal("%d check(s) regressed beyond ns/op %.1fx / allocs baseline+%.0f (baseline recorded %s on %s)",
+		fatal("%d check(s) regressed beyond ns/op %.1fx / allocs baseline+%.0f, or above a recorded 0 (baseline recorded %s on %s)",
 			failed, *factor, *allocSlack, base.Recorded, base.CPU)
 	}
+}
+
+// check compares one measurement against its baseline row and returns the
+// verdict with the number of checks it failed (ns/op and allocs/op count
+// separately). Allocations are checked when the row records a count and
+// the measurement carries one: a recorded 0 admits no allocation at all,
+// any other count admits slack more.
+func check(name string, m measurement, ref BenchRef, factor, allocSlack float64) (result, int) {
+	r := result{
+		Name:       name,
+		NsPerOp:    m.nsPerOp,
+		BaselineNs: ref.NsPerOp,
+		Ratio:      m.nsPerOp / ref.NsPerOp,
+		Status:     "ok",
+	}
+	fails := 0
+	if r.Ratio > factor {
+		r.Status = "FAIL(ns/op)"
+		fails++
+	}
+	if ref.AllocsPerOp != nil && m.allocsPerOp >= 0 {
+		r.AllocsPerOp, r.BaselineAllocs = &m.allocsPerOp, ref.AllocsPerOp
+		limit := *ref.AllocsPerOp
+		if limit > 0 {
+			limit += allocSlack
+		}
+		if m.allocsPerOp > limit {
+			r.Status = "FAIL(allocs/op)"
+			fails++
+		}
+	}
+	return r, fails
 }
 
 // parseBench extracts per-benchmark measurements from `go test -bench`

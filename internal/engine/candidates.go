@@ -66,8 +66,9 @@ const (
 // once, so an engine with a fixed population never grows it: no later
 // add, rebuild, patch or grant reallocates.
 func (c *Candidates) Reserve(n int) {
-	c.pos, c.view, c.members = make([]int32, n), make([]*core.AppView, n), make([]int32, 0, n)
-	c.applied, c.watch = make([]float64, n), make([]int32, 0, n)
+	idx := make([]int32, 3*n) // full slice expressions: a grown list reallocates
+	c.pos, c.members, c.watch = idx[:n:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
+	c.view, c.applied = make([]*core.AppView, n), make([]float64, n)
 }
 
 // Len returns the number of candidates.
