@@ -37,7 +37,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// One benchmark per paper artifact (DESIGN.md §3).
+// One benchmark per paper artifact (`iosim -list` prints the index).
 
 func BenchmarkFig1Throughput(b *testing.B)       { benchExperiment(b, "fig1") }
 func BenchmarkFig5Workload(b *testing.B)         { benchExperiment(b, "fig5") }
@@ -57,7 +57,7 @@ func BenchmarkFig14Overhead(b *testing.B)        { benchExperiment(b, "fig14") }
 func BenchmarkFig15Vesta(b *testing.B)           { benchExperiment(b, "fig15") }
 func BenchmarkFig16PerApp(b *testing.B)          { benchExperiment(b, "fig16") }
 
-// Ablation and extension benches (DESIGN.md §5).
+// Ablation and extension benches (internal/experiments/ablations.go).
 
 func BenchmarkAblationGamma(b *testing.B)      { benchExperiment(b, "ablation-gamma") }
 func BenchmarkAblationPriority(b *testing.B)   { benchExperiment(b, "ablation-priority") }

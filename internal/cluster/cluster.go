@@ -13,7 +13,7 @@
 // dilation per scenario (Figure 15), per-application dilation (Figure 16) —
 // all derive from these message timings and from bandwidth sharing, which
 // is why the emulator reproduces the experiment's shape without BlueGene
-// hardware (DESIGN.md, substitutions).
+// hardware.
 package cluster
 
 import (
@@ -133,7 +133,7 @@ type Result struct {
 	Apps []metrics.AppPerf
 	// Summary normalizes SysEfficiency by the engaged nodes Σβ(k)
 	// (Vesta scenarios rarely fill the machine; the paper's Figure 15
-	// values are normalized this way — see EXPERIMENTS.md).
+	// values are normalized this way).
 	Summary  metrics.Summary
 	Makespan float64
 

@@ -17,7 +17,7 @@ import (
 )
 
 // The experiments in this file go beyond the paper's figures: they probe
-// the design choices DESIGN.md calls out (the MinMax threshold, the
+// the design choices the paper leaves open (the MinMax threshold, the
 // Priority constraint, burst-buffer sizing, the Insert-In-Schedule-Throu
 // sort order) and the paper's stated future work (periodic vs online
 // schedules, Section 7).
@@ -44,7 +44,7 @@ func init() {
 	register(Experiment{
 		ID:    "ablation-throu-order",
 		Title: "Insert-In-Schedule-Throu sort order (as-written vs reversed)",
-		Paper: "DESIGN.md §4.2",
+		Paper: "Section 3.2, Insert-In-Schedule-Throu",
 		Run:   runAblationThrouOrder,
 	})
 	register(Experiment{

@@ -4,8 +4,8 @@
 // its workload, runs the simulator or the cluster emulator across the
 // relevant schedulers, and renders the same rows/series the paper reports.
 //
-// See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured values.
+// `iosim -list` prints the experiment index; the verify experiment checks
+// the paper's qualitative claims against live runs.
 package experiments
 
 import (
@@ -21,8 +21,8 @@ import (
 type Config struct {
 	// Quick reduces replicates, moment counts and benchmark iterations.
 	Quick bool
-	// Seed offsets every seeded generator; the default 0 reproduces the
-	// committed EXPERIMENTS.md numbers.
+	// Seed offsets every seeded generator; runs with equal seeds print
+	// identical numbers.
 	Seed int64
 	// Replicates overrides the number of random mixes averaged in the
 	// Figure 6/7 studies (paper: 200).

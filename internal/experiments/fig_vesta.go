@@ -101,7 +101,7 @@ func runFig15(cfg Config) (*Document, error) {
 		Title:  "SysEfficiency per scenario",
 		XLabel: "scenario#",
 		YLabel: "SysEfficiency",
-		Notes:  []string{scenarioLegend(scenarios), "SysEfficiency normalized by engaged nodes Σβ (see EXPERIMENTS.md)"},
+		Notes:  []string{scenarioLegend(scenarios), "SysEfficiency normalized by engaged nodes Σβ, as the paper's Figure 15 values are"},
 	}
 	dil := &report.Figure{
 		Title:  "Dilation per scenario",

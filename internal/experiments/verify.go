@@ -17,7 +17,7 @@ func init() {
 	register(Experiment{
 		ID:    "verify",
 		Title: "Paper-shape claim checks at the configured scale",
-		Paper: "EXPERIMENTS.md summary table",
+		Paper: "the paper's qualitative claims",
 		Run:   runVerify,
 	})
 }
@@ -30,7 +30,7 @@ type claim struct {
 	pass bool
 }
 
-// runVerify re-derives the EXPERIMENTS.md summary table from live runs:
+// runVerify checks the paper's qualitative claims against live runs:
 // every row is one of the paper's qualitative claims evaluated at the
 // configured scale (use -quick for a fast sanity pass, default scale for
 // the committed numbers).

@@ -140,7 +140,7 @@ func (b *builder) schedule() *Schedule {
 
 // BuildThrou implements Insert-In-Schedule-Throu: applications sorted by
 // non-decreasing w/time_io (the paper's stated order; set descending for
-// the ablation in DESIGN.md §4.2), each packed with as many instances as
+// the ablation-throu-order experiment), each packed with as many instances as
 // fit before moving to the next application.
 func BuildThrou(p *platform.Platform, apps []*platform.App, T float64, descending bool) (*Schedule, error) {
 	return buildThrou(p, apps, T, descending, &buildScratch{})
@@ -181,8 +181,10 @@ func buildThrou(p *platform.Platform, apps []*platform.App, T float64, descendin
 
 // BuildCong implements Insert-In-Schedule-Cong: repeatedly advance the
 // application whose scheduled share n_per·(w+time_io) is currently the
-// smallest (see DESIGN.md §4.1 for why the paper's literal "largest" rule
-// cannot be meant), until no application can accept another instance.
+// smallest (the paper's literal "largest" cannot be meant: an added
+// instance only grows the advanced application's share, so one application
+// would take every instance), until no application can accept another
+// instance.
 func BuildCong(p *platform.Platform, apps []*platform.App, T float64) (*Schedule, error) {
 	return buildCong(p, apps, T, &buildScratch{})
 }

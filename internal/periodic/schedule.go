@@ -32,7 +32,7 @@ func (a *AppSchedule) NPer() int { return len(a.Slots) }
 
 // Schedule is a complete periodic schedule: a period length and one
 // timetable per application. Instances never wrap around the period
-// boundary (see DESIGN.md §4.4: any non-wrapping schedule is a valid
+// boundary (any non-wrapping schedule is a valid
 // periodic schedule, possibly with idle time before the period repeats).
 type Schedule struct {
 	Platform *platform.Platform

@@ -16,7 +16,7 @@ import (
 // (n−1)/n.
 //
 // The wrapped compute interval cannot be represented by the non-wrapping
-// Slot model used by the insertion heuristics (see DESIGN.md §4.4), so the
+// Slot model used by the insertion heuristics (see Schedule), so the
 // construction is verified at the bandwidth-profile level, which is where
 // the proof's feasibility argument lives.
 

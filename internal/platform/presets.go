@@ -2,7 +2,7 @@ package platform
 
 // Presets for the three Argonne machines used in the paper. The absolute
 // constants follow Figure 2 of the paper (b = 0.1 Gb/s per node on Intrepid)
-// and public peak-bandwidth figures; see DESIGN.md §4.5. Only the
+// and public peak-bandwidth figures. Only the
 // congestion ratio (aggregate demand / B) matters for the reproduced
 // comparisons, and the workload generators calibrate against these values.
 
@@ -11,7 +11,7 @@ package platform
 // in Figure 2); the file-system bandwidth models the *sustained
 // concurrent-write* bandwidth (well below the 88 GB/s theoretical peak —
 // see [22] on output bottlenecks), which is what the paper's congestion
-// numbers imply (DESIGN.md §4.5). The production configuration modeled in
+// numbers imply. The production configuration modeled in
 // Section 4.4 includes burst buffers.
 func Intrepid() *Platform {
 	return &Platform{
