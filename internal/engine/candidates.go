@@ -210,8 +210,8 @@ func (c *Candidates) Demand(nodeBW float64) float64 {
 	return demand
 }
 
-// GrantFull applies min(β·b, limit) to every candidate, in membership
-// order: the skip paths never read the ordered view.
+// GrantFull applies min(β·b, limit) to every candidate, changed or not, in
+// membership order: the skip paths never read the ordered view.
 //
 //iosched:allocfree
 func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
@@ -236,14 +236,17 @@ func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
 // answer owed: O(grants + previously granted + joined), not
 // O(candidates).
 //
-// A skipped apply changes nothing. The slot holds that bandwidth since its
-// last Apply, and nothing but an owed answer (add) has touched its phase
-// since: the view is already in the state Kernel.Transition leaves it in
-// for that value — same Phase, Started set when granted — so Transition
-// would bump no Version and the memo is unaffected; the engine's own side
-// effects of that value (the simulator's transferring set, the daemon's
-// pushedValid && bw == pushedBW) are in place too. Zeros are applied
-// before grants, each group in watch and verdict order respectively.
+// A skipped apply changes nothing. A slot is skipped only when it is a
+// candidate, is owed no answer and already holds the verdict's value. It
+// received that value through Apply, which ran Kernel.Transition, and an
+// engine changes a candidate's Phase or Started only together with add (a
+// join, the daemon's re-request), which owes the slot an answer. So the
+// view is already in the state Transition leaves for that value, and
+// Transition would bump no Version: the memo and every result are as if
+// Apply had run. The engine's own effects of the value stand as well: the
+// simulator's transferring set, the daemon's pushedValid && bw ==
+// pushedBW, under which it would have enqueued nothing. Zeros are applied
+// before grants, in watch and verdict order.
 //
 //iosched:allocfree
 func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
@@ -274,7 +277,7 @@ func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 			continue // no such candidate, or a repeated ID already applied
 		}
 		c.stamp[s] = 0
-		if bw := c.granted[s]; c.applied[s] != bw { // NaN, owed, never equals
+		if bw := c.granted[s]; c.applied[s] != bw { // an owed NaN equals nothing
 			set.Apply(s, bw, now)
 			c.record(s, bw)
 		} else if bw != 0 {
