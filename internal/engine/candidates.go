@@ -225,16 +225,23 @@ func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
 			bw = limit
 		}
 		set.Apply(s, bw, now)
-		c.record(s, bw)
+		c.applied[s] = bw
+		if bw != 0 {
+			c.watch = append(c.watch, s)
+		}
 	}
 }
 
-// Grant applies a policy verdict: each grant names the slot whose view
-// carries its ID, and every candidate the verdict omits gets zero. It
-// applies only what changes — a zero to each watched slot the verdict
-// omits, a grant whose value differs from what its slot holds — and every
-// answer owed: O(grants + previously granted + joined), not
-// O(candidates).
+// Grant applies a policy verdict: each grant stamps the slot whose view
+// carries its ID, and every candidate the verdict omits gets zero. The
+// slot numbered like the ID is tried first — where slots are IDs (the
+// simulator on every generated workload) that resolves a grant in O(1) —
+// and otherwise a binary search over the ordered view the policy just
+// read finds it. A granted slot not yet watched joins the watch list, and
+// one walk over that list applies what changes — a zero to each watched
+// slot the verdict omits, a grant whose value differs from what its slot
+// holds — and every answer owed, in watch order: O(grants + previously
+// granted + joined), not O(candidates).
 //
 // A skipped apply changes nothing. A slot is skipped only when it is a
 // candidate, is owed no answer and already holds the verdict's value. It
@@ -245,71 +252,47 @@ func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
 // Transition would bump no Version: the memo and every result are as if
 // Apply had run. The engine's own effects of the value stand as well: the
 // simulator's transferring set, the daemon's pushedValid && bw ==
-// pushedBW, under which it would have enqueued nothing. Zeros are applied
-// before grants, in watch and verdict order.
+// pushedBW, under which it would have enqueued nothing.
 //
 //iosched:allocfree
 func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
-	c.Views()
+	views := c.Views()
 	if len(c.stamp) < len(c.pos) {
 		//iosched:allocfree-allow first grant, or a grown slot space: sized for every slot
 		c.stamp, c.granted = make([]uint64, len(c.pos)), make([]float64, len(c.pos))
 	}
 	c.round++
 	for _, g := range grants {
-		if s, ok := c.lookup(g.AppID); ok {
-			c.stamp[s], c.granted[s] = c.round, g.BW
+		s := int32(g.AppID)
+		if int(s) != g.AppID || !c.Has(s) || c.view[s].ID != g.AppID {
+			i := c.search(g.AppID, -1)
+			if i == len(views) || views[i].ID != g.AppID {
+				continue // no such candidate
+			}
+			s = c.sorted[i]
 		}
+		if c.stamp[s] != c.round && c.applied[s] == 0 {
+			c.watch = append(c.watch, s) // granted, and not yet watched
+		}
+		c.stamp[s], c.granted[s] = c.round, g.BW
 	}
+	kept := 0
 	for _, s := range c.watch {
+		bw := 0.0
 		if c.stamp[s] == c.round {
-			continue // granted: below
+			bw = c.granted[s]
+		} else if !c.Has(s) {
+			c.applied[s] = 0 // left since
+			continue
 		}
-		if c.Has(s) {
-			set.Apply(s, 0, now)
-		}
-		c.applied[s] = 0
-	}
-	c.watch = c.watch[:0]
-	for _, g := range grants {
-		s, ok := c.lookup(g.AppID)
-		if !ok || c.stamp[s] != c.round {
-			continue // no such candidate, or a repeated ID already applied
-		}
-		c.stamp[s] = 0
-		if bw := c.granted[s]; c.applied[s] != bw { // an owed NaN equals nothing
+		if c.applied[s] != bw { // an owed NaN equals nothing
 			set.Apply(s, bw, now)
-			c.record(s, bw)
-		} else if bw != 0 {
-			c.watch = append(c.watch, s)
+			c.applied[s] = bw
+		}
+		if bw != 0 {
+			c.watch[kept] = s
+			kept++
 		}
 	}
-}
-
-// record notes that slot received bw; the slot was off the watch list.
-//
-//iosched:allocfree
-func (c *Candidates) record(slot int32, bw float64) {
-	c.applied[slot] = bw
-	if bw != 0 {
-		c.watch = append(c.watch, slot)
-	}
-}
-
-// lookup returns the candidate slot whose view carries id. The slot
-// numbered like the ID is tried first — where slots are IDs (the simulator
-// on every generated workload) that resolves it in O(1) — and otherwise a
-// binary search over the ordered view finds it.
-//
-//iosched:allocfree
-func (c *Candidates) lookup(id int) (int32, bool) {
-	s := int32(id)
-	if int(s) == id && c.Has(s) && c.view[s].ID == id {
-		return s, true
-	}
-	i := c.search(id, -1)
-	if i == len(c.want) || c.want[i].ID != id {
-		return 0, false
-	}
-	return c.sorted[i], true
+	c.watch = c.watch[:kept]
 }
