@@ -40,9 +40,13 @@ type Candidates struct {
 	// as a member, since). watch lists each slot whose applied value is
 	// nonzero — the slots the last verdict gave bandwidth, plus those owed
 	// an answer — exactly once; it may still hold slots that left since,
-	// which the next verdict drops.
+	// which the next verdict drops. Both are kept only while known: the
+	// first Grant, and the first after a GrantFull, answer every candidate,
+	// so the skip paths, which answer every candidate anyway, record
+	// nothing.
 	applied []float64
 	watch   []int32
+	known   bool
 }
 
 // viewState says how the ordered view stands against the membership. It
@@ -68,7 +72,7 @@ const (
 func (c *Candidates) Reserve(n int) {
 	idx := make([]int32, 3*n) // full slice expressions: a grown list reallocates
 	c.pos, c.members, c.watch = idx[:n:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
-	c.view, c.applied = make([]*core.AppView, n), make([]float64, n)
+	c.view = make([]*core.AppView, n)
 }
 
 // Len returns the number of candidates.
@@ -91,12 +95,16 @@ func (c *Candidates) add(slot int32, v *core.AppView) bool {
 	for int(slot) >= len(c.pos) {
 		c.pos = append(c.pos, 0)
 		c.view = append(c.view, nil)
-		c.applied = append(c.applied, 0)
+		if c.known {
+			c.applied = append(c.applied, 0)
+		}
 	}
-	if c.applied[slot] == 0 {
-		c.watch = append(c.watch, slot)
+	if c.known {
+		if c.applied[slot] == 0 {
+			c.watch = append(c.watch, slot)
+		}
+		c.applied[slot] = math.NaN()
 	}
-	c.applied[slot] = math.NaN()
 	if c.pos[slot] != 0 {
 		return false
 	}
@@ -211,24 +219,21 @@ func (c *Candidates) Demand(nodeBW float64) float64 {
 }
 
 // GrantFull applies min(β·b, limit) to every candidate, changed or not, in
-// membership order: the skip paths never read the ordered view.
+// membership order: the skip paths never read the ordered view. It records
+// nothing, so the next Grant answers every candidate too.
 //
 //iosched:allocfree
 func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
 	for _, s := range c.watch {
 		c.applied[s] = 0
 	}
-	c.watch = c.watch[:0]
+	c.watch, c.known = c.watch[:0], false
 	for _, s := range c.members {
 		bw := float64(c.view[s].Nodes) * nodeBW
 		if bw > limit {
 			bw = limit
 		}
 		set.Apply(s, bw, now)
-		c.applied[s] = bw
-		if bw != 0 {
-			c.watch = append(c.watch, s)
-		}
 	}
 }
 
@@ -257,9 +262,19 @@ func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
 //iosched:allocfree
 func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 	views := c.Views()
-	if len(c.stamp) < len(c.pos) {
+	if n := len(c.pos); len(c.stamp) < n {
 		//iosched:allocfree-allow first grant, or a grown slot space: sized for every slot
-		c.stamp, c.granted = make([]uint64, len(c.pos)), make([]float64, len(c.pos))
+		f := make([]float64, 2*n)
+		copy(f[n:], c.applied)
+		//iosched:allocfree-allow as above
+		c.stamp, c.granted, c.applied = make([]uint64, n), f[:n:n], f[n:]
+	}
+	if !c.known {
+		// Nothing recorded: every candidate is owed an answer.
+		for _, s := range c.members {
+			c.applied[s] = math.NaN()
+		}
+		c.watch, c.known = append(c.watch[:0], c.members...), true
 	}
 	c.round++
 	for _, g := range grants {

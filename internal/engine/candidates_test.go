@@ -230,7 +230,7 @@ func (h *candHarness) checkViews() {
 		if a != 0 && !seen[int32(s)] {
 			h.tb.Fatalf("slot %d holds %g but is not watched (watch %v)", s, a, h.c.watch)
 		}
-		if h.member[s] && !h.owed[s] && a != h.held[s] {
+		if h.c.known && h.member[s] && !h.owed[s] && a != h.held[s] {
 			h.tb.Fatalf("slot %d recorded as holding %g, model %g", s, a, h.held[s])
 		}
 	}
@@ -277,7 +277,8 @@ func (h *candHarness) checkGrant(arg byte) {
 }
 
 // checkGrantFull applies min(β·b, limit) and checks that, unlike Grant,
-// it answers every candidate.
+// it answers every candidate. It records nothing, so every candidate is
+// owed an answer at the next Grant.
 func (h *candHarness) checkGrantFull(arg byte) {
 	limit := float64(1 + arg%8)
 	want := make(map[int32]float64)
@@ -288,6 +289,9 @@ func (h *candHarness) checkGrantFull(arg byte) {
 		}
 	}
 	h.expect(want, func() { h.c.GrantFull(h, 1, limit, 0) })
+	for s, m := range h.member {
+		h.owed[s] = m
+	}
 }
 
 // expect runs a verdict and checks it against the model: a member is

@@ -21,9 +21,10 @@ import (
 // Set is what differs between the engines: the side effect of one
 // candidate's bandwidth verdict. Apply receives every bandwidth that
 // changed, plus one for each slot owed an answer (Kernel.Add), slot by
-// slot; an implementation passes it through Kernel.Transition. A slot that
-// receives nothing holds its previous bandwidth, and its side effects stand
-// (Candidates.Grant says why that is sound).
+// slot; an implementation passes it through Kernel.Transition. The skip
+// paths answer every candidate, and so does the policy verdict after one.
+// A slot that receives nothing holds its previous bandwidth, and its side
+// effects stand (Candidates.Grant says why that is sound).
 type Set interface {
 	Apply(slot int32, bw, now float64)
 }
