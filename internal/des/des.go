@@ -47,7 +47,7 @@ type event struct {
 }
 
 // HandleIDs installs the handler for events that carry an ID instead of a
-// callback (Arm.ID, IDTimer). It is for populations: when n timers all do
+// callback (Arm.ID, IDTimers). It is for populations: when n timers all do
 // the same thing, each to its own element, arming them by the element's
 // index through one handler creates no closure per element.
 func (e *Engine) HandleIDs(fn func(id int32)) { e.onID = fn }
@@ -145,17 +145,42 @@ func (e *Engine) ArmAll(arms []Arm) []Handle {
 	return handles
 }
 
-// IDTimer creates an unscheduled event carrying id and returns its handle:
-// the timer is not pending until armed with Reschedule. It is the
-// constructor for restore paths that rebuild a simulation whose
-// applications may have no deadline right now but will re-arm their timer
-// later — the handle behaves exactly like one whose event has already
-// fired.
-func (e *Engine) IDTimer(id int32) Handle {
+// IDTimers creates n timers in one block, timer i carrying ID i, and
+// reserves queue room for all of them, so no Reschedule of one of them
+// grows the queue. In ID order, set receives each timer's handle and
+// returns where to arm it: at t when arm is true; otherwise the timer
+// stays unarmed — it behaves exactly like one that already fired — until
+// a Reschedule. Arming is Reschedule(h, t) for each armed timer in ID
+// order — the same clamp to now, the same sequence numbers — except that
+// the armed timers enter the queue with one O(n) heapify instead of a
+// sift each. It is the population-setup path: one timer per application,
+// whatever the release times, costs one block and one queue reservation.
+func (e *Engine) IDTimers(n int, set func(id int32, h Handle) (t float64, arm bool)) {
 	if e.onID == nil {
 		panic(noIDHandler)
 	}
-	return Handle{ev: &event{id: id, index: -1}}
+	evs := make([]event, n)
+	e.events = slices.Grow(e.events, n)
+	for i := range evs {
+		ev := &evs[i]
+		ev.id, ev.index = int32(i), -1
+		t, arm := set(int32(i), Handle{ev: ev})
+		if !arm {
+			continue
+		}
+		if math.IsNaN(t) {
+			panic("des: rescheduling event to NaN")
+		}
+		if t < e.now {
+			t = e.now
+		}
+		ev.time = t
+		ev.seq = e.seq
+		e.seq++
+		ev.index = int32(len(e.events))
+		e.events = append(e.events, ev)
+	}
+	e.events.heapify()
 }
 
 // Cancel removes the event from the queue. Cancelling an already-fired or

@@ -138,7 +138,8 @@ func (h eventHeap) fix(i int) {
 }
 
 // heapify restores the heap property over the whole slice in O(n)
-// (Floyd's bottom-up construction); used by ArmAll after a bulk append.
+// (Floyd's bottom-up construction); used by ArmAll and IDTimers after a
+// bulk append.
 func (h eventHeap) heapify() {
 	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
 		h.down(i)

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -38,13 +39,17 @@ func TestHeapMatchesReference(t *testing.T) {
 
 		fire := func(i int) func() { return func() { got = append(got, i) } }
 		e.HandleIDs(func(id int32) { got = append(got, int(id)) })
+		// The odd timers come from one unarmed block, which takes no
+		// sequence number: each gets its one, like At, from Reschedule.
+		e.IDTimers(n, func(id int32, h Handle) (float64, bool) {
+			handles[id] = h
+			return 0, false
+		})
 		for i := 0; i < n; i++ {
 			tm := now + rng.Float64()*1000
 			if i%2 == 0 {
 				handles[i] = e.At(tm, fire(i))
 			} else {
-				// One sequence number, like At: IDTimer takes none.
-				handles[i] = e.IDTimer(int32(i))
 				e.Reschedule(handles[i], tm)
 			}
 			ref[i] = refTimer{time: tm, stamp: stamp, armed: true}
@@ -222,6 +227,69 @@ func TestArmAllEquivalence(t *testing.T) {
 	}
 }
 
+// TestIDTimersEquivalence checks that arming a block in bulk is
+// indistinguishable from arming its timers one Reschedule at a time in ID
+// order: same fire order, ties against events armed before and after the
+// block included, past times clamped to now. Unarmed timers are not
+// pending until a Reschedule, and the reserved queue room means arming
+// every one of them later allocates nothing.
+func TestIDTimersEquivalence(t *testing.T) {
+	times := []float64{5, 1, 3, 3, 2, 1, 8, 0, 3, 4}
+	armed := func(id int32) bool { return id%3 != 2 }
+	run := func(bulk bool) []int {
+		var got []int
+		var e Engine
+		e.HandleIDs(func(id int32) { got = append(got, int(id)) })
+		e.At(0.5, func() { got = append(got, -1) })
+		e.Step() // now = 0.5: the 0 deadline clamps
+		e.At(3, func() { got = append(got, -2) })
+		hs := make([]Handle, len(times))
+		e.IDTimers(len(times), func(id int32, h Handle) (float64, bool) {
+			hs[id] = h
+			return times[id], bulk && armed(id)
+		})
+		if !bulk {
+			for id, h := range hs {
+				if armed(int32(id)) {
+					e.Reschedule(h, times[id])
+				}
+			}
+		}
+		e.At(3, func() { got = append(got, -3) })
+		for id, h := range hs {
+			if e.Pending(h) != armed(int32(id)) {
+				t.Fatalf("bulk %v: timer %d pending %v", bulk, id, e.Pending(h))
+			}
+		}
+		if w, _ := e.When(hs[7]); w != 0.5 {
+			t.Fatalf("bulk %v: timer 7 armed at %g, want the clamp to 0.5", bulk, w)
+		}
+		e.Run()
+		return got
+	}
+	if bulk, each := run(true), run(false); !slices.Equal(bulk, each) {
+		t.Fatalf("fire order: bulk %v, one by one %v", bulk, each)
+	}
+
+	var e Engine
+	e.HandleIDs(func(int32) {})
+	hs := make([]Handle, 1000)
+	e.IDTimers(len(hs), func(id int32, h Handle) (float64, bool) {
+		hs[id] = h
+		return 0, false
+	})
+	if e.Len() != 0 {
+		t.Fatalf("%d events queued from an unarmed block", e.Len())
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		for i, h := range hs {
+			e.Reschedule(h, float64(i))
+		}
+	}); n != 0 {
+		t.Errorf("arming a block's timers allocated %g times, want 0", n)
+	}
+}
+
 func TestArmAllHandles(t *testing.T) {
 	var e Engine
 	fired := make([]bool, 4)
@@ -273,7 +341,9 @@ func TestMissingHandlerPanicsAtArmTime(t *testing.T) {
 		arm        func(e *Engine)
 	}{
 		{"ArmAll", "HandleIDs", func(e *Engine) { e.ArmAll([]Arm{{At: 1, Fn: func() {}}, {At: 2, ID: 7}}) }},
-		{"IDTimer", "HandleIDs", func(e *Engine) { e.IDTimer(7) }},
+		{"IDTimers", "HandleIDs", func(e *Engine) {
+			e.IDTimers(8, func(int32, Handle) (float64, bool) { return 1, true })
+		}},
 		{"At", "nil fn", func(e *Engine) { e.At(1, nil) }},
 	}
 	for _, c := range cases {
@@ -295,7 +365,7 @@ func TestMissingHandlerPanicsAtArmTime(t *testing.T) {
 	var got []int32
 	e.HandleIDs(func(id int32) { got = append(got, id) })
 	e.ArmAll([]Arm{{At: 2, ID: 7}})
-	e.Reschedule(e.IDTimer(9), 1)
+	e.IDTimers(10, func(id int32, _ Handle) (float64, bool) { return 1, id == 9 })
 	e.Run()
 	if len(got) != 2 || got[0] != 9 || got[1] != 7 {
 		t.Fatalf("ID handler saw %v, want [9 7]", got)

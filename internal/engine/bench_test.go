@@ -52,3 +52,34 @@ func BenchmarkCandidatesGrant(b *testing.B) {
 		k.Cands.Grant(set, grants, float64(i))
 	}
 }
+
+// BenchmarkDecideSaturating is a population-scale instant on the
+// Saturating path (docs/performance.md, "The Saturating instant"): 50k
+// members whose demand fits the capacity, and per op one member leaves,
+// one re-joins and the kernel decides. Demand is a product and the full
+// grant answers only the re-joined member, so an op costs O(1), not
+// O(members), and allocates nothing.
+func BenchmarkDecideSaturating(b *testing.B) {
+	const members = 50_000
+	k := New(core.MaxSysEff(), nil, false)
+	k.Cands.Reserve(members)
+	set := &transitionSet{k: &k, views: make([]core.AppView, members)}
+	for i := range set.views {
+		set.views[i] = core.AppView{ID: i, Nodes: 1 + i%8, Phase: core.Pending}
+		k.Add(int32(i), &set.views[i])
+	}
+	cap := core.Capacity{TotalBW: 10 * members, NodeBW: 1}
+	k.Decide(set, 0, cap, "")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := int32(i % members)
+		k.Remove(s)
+		set.views[s].Phase, set.views[s].Started = core.Pending, false
+		k.Add(s, &set.views[s])
+		k.Decide(set, float64(i+1), cap, "")
+	}
+	if k.Decisions != 0 || k.SkippedSaturating != b.N+1 {
+		b.Fatalf("counters %+v, want %d Saturating skips and no decision", k.Counters, b.N+1)
+	}
+}

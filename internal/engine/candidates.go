@@ -16,11 +16,13 @@ import (
 // O(1) swaps. The ordered view the policy sees — ascending application
 // ID, ties by slot — is built on its first read and from then on patched,
 // not rebuilt (viewState). Membership changes go through Kernel.Add and
-// Kernel.Remove, which bump the kernel's version.
+// Kernel.Remove, which bump the kernel's version. A member's Nodes must
+// not change while it is a member: nodes sums them as they joined.
 type Candidates struct {
 	pos     []int32         // slot → 1 + its index in members; 0 when absent
 	view    []*core.AppView // slot → the view it joined with
 	members []int32         // the slots, unordered
+	nodes   int             // Σ Nodes over the members
 
 	// sorted/want are the ordered view: the member slots and their views,
 	// ascending by (ID, slot); state says how they stand against members.
@@ -34,20 +36,35 @@ type Candidates struct {
 	stamp   []uint64
 	granted []float64
 
-	// applied/watch remember what the slots hold, so a verdict applies only
-	// what it changes. applied[slot] is the bandwidth the slot last
-	// received, NaN while it is owed an answer (it joined, or was re-added
-	// as a member, since). watch lists each slot whose applied value is
-	// nonzero — the slots the last verdict gave bandwidth, plus those owed
-	// an answer — exactly once; it may still hold slots that left since,
-	// which the next verdict drops. Both are kept only while known: the
-	// first Grant, and the first after a GrantFull, answer every candidate,
-	// so the skip paths, which answer every candidate anyway, record
-	// nothing.
-	applied []float64
-	watch   []int32
-	known   bool
+	// rec, applied, watch and listed remember what the slots hold, so a
+	// verdict applies only what it changes; rec says what the last verdict
+	// left. A slot is owed an answer once it joins, or is re-added as a
+	// member, after that verdict. watch lists the slots the next verdict
+	// must look at, each once (listed marks them); it may still hold slots
+	// that left since, which the next verdict drops.
+	//
+	// After a Grant (recGrant), applied[slot] is the bandwidth the slot
+	// last received, NaN while it is owed an answer, and watch lists the
+	// slots whose applied value is nonzero. After a GrantFull (recFull),
+	// every member not owed holds min(β·b, fullLimit) at b = fullBW, and
+	// watch lists the slots owed an answer; applied is all zero. Before
+	// the first verdict (recNone) nothing is recorded: that verdict
+	// answers every candidate.
+	rec               recState
+	fullBW, fullLimit float64
+	applied           []float64
+	watch             []int32
+	listed            []bool
 }
+
+// recState is what Candidates remembers of the last verdict.
+type recState uint8
+
+const (
+	recNone  recState = iota // no verdict yet
+	recGrant                 // a policy verdict, through Grant
+	recFull                  // min(β·b, limit) for all, through GrantFull
+)
 
 // viewState says how the ordered view stands against the membership. It
 // follows membership only: a Kernel.Transition bump changes fields of the
@@ -73,6 +90,7 @@ func (c *Candidates) Reserve(n int) {
 	idx := make([]int32, 3*n) // full slice expressions: a grown list reallocates
 	c.pos, c.members, c.watch = idx[:n:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
 	c.view = make([]*core.AppView, n)
+	c.listed = make([]bool, n)
 }
 
 // Len returns the number of candidates.
@@ -95,15 +113,16 @@ func (c *Candidates) add(slot int32, v *core.AppView) bool {
 	for int(slot) >= len(c.pos) {
 		c.pos = append(c.pos, 0)
 		c.view = append(c.view, nil)
-		if c.known {
+		c.listed = append(c.listed, false)
+		if c.rec == recGrant {
 			c.applied = append(c.applied, 0)
 		}
 	}
-	if c.known {
-		if c.applied[slot] == 0 {
-			c.watch = append(c.watch, slot)
+	if c.rec != recNone {
+		c.list(slot)
+		if c.rec == recGrant {
+			c.applied[slot] = math.NaN()
 		}
-		c.applied[slot] = math.NaN()
 	}
 	if c.pos[slot] != 0 {
 		return false
@@ -111,6 +130,7 @@ func (c *Candidates) add(slot int32, v *core.AppView) bool {
 	c.members = append(c.members, slot)
 	c.pos[slot] = int32(len(c.members))
 	c.view[slot] = v
+	c.nodes += v.Nodes
 	c.changed(slot, true)
 	return true
 }
@@ -128,9 +148,33 @@ func (c *Candidates) remove(slot int32) bool {
 	c.pos[moved] = i + 1
 	c.members = c.members[:last]
 	c.pos[slot] = 0
+	c.nodes -= c.view[slot].Nodes
 	c.changed(slot, false)
 	c.view[slot] = nil
 	return true
+}
+
+// list puts slot on the watch list unless it is there already.
+//
+//iosched:allocfree
+func (c *Candidates) list(slot int32) {
+	if !c.listed[slot] {
+		c.listed[slot] = true
+		c.watch = append(c.watch, slot)
+	}
+}
+
+// unlist empties the watch list, zeroing what it recorded.
+//
+//iosched:allocfree
+func (c *Candidates) unlist() {
+	for _, s := range c.watch {
+		c.listed[s] = false
+		if c.rec == recGrant {
+			c.applied[s] = 0
+		}
+	}
+	c.watch = c.watch[:0]
 }
 
 // changed keeps the ordered view in step with one membership change. At
@@ -205,35 +249,45 @@ func (c *Candidates) Ordered() (slots []int32, views []*core.AppView) {
 	return c.sorted, views
 }
 
-// Demand returns Σ β·b over the candidates, accumulated in membership
-// order: the Saturating skip's margin makes any order land on the same
-// side of its threshold, so no skip ever sorts.
+// Demand returns Σ β·b over the candidates: the exact node count, kept
+// as members join and leave, times b, rounded once. It differs from a
+// float accumulation in any order by far less than the Saturating skip's
+// margin, so every way of summing lands on the same side of its
+// threshold, and no skip walks or sorts the candidates.
 //
 //iosched:allocfree
 func (c *Candidates) Demand(nodeBW float64) float64 {
-	demand := 0.0
-	for _, s := range c.members {
-		demand += float64(c.view[s].Nodes) * nodeBW
-	}
-	return demand
+	return float64(c.nodes) * nodeBW
 }
 
-// GrantFull applies min(β·b, limit) to every candidate, changed or not, in
-// membership order: the skip paths never read the ordered view. It records
-// nothing, so the next Grant answers every candidate too.
+// GrantFull applies min(β·b, limit) to the candidates. When the last
+// verdict was a GrantFull at the same (nodeBW, limit), every member not
+// owed an answer already holds its value, so only the owed members that
+// are still candidates receive one, in watch order: O(joined since), not
+// O(candidates). Otherwise every candidate receives one, in membership
+// order. Either way the skip paths never read the ordered view.
+//
+// A skipped member still holds the value of the last GrantFull: it has
+// been a member since, and a member's Nodes does not change, so its
+// min(β·b, limit) is the same, and Candidates.Grant's argument for a
+// skipped apply holds as it stands.
 //
 //iosched:allocfree
 func (c *Candidates) GrantFull(set Set, nodeBW, limit, now float64) {
-	for _, s := range c.watch {
-		c.applied[s] = 0
-	}
-	c.watch, c.known = c.watch[:0], false
-	for _, s := range c.members {
-		bw := float64(c.view[s].Nodes) * nodeBW
-		if bw > limit {
-			bw = limit
+	if c.rec == recFull && nodeBW == c.fullBW && limit == c.fullLimit {
+		for _, s := range c.watch {
+			c.listed[s] = false
+			if c.Has(s) {
+				set.Apply(s, min(float64(c.view[s].Nodes)*nodeBW, limit), now)
+			}
 		}
-		set.Apply(s, bw, now)
+		c.watch = c.watch[:0]
+		return
+	}
+	c.unlist()
+	c.rec, c.fullBW, c.fullLimit = recFull, nodeBW, limit
+	for _, s := range c.members {
+		set.Apply(s, min(float64(c.view[s].Nodes)*nodeBW, limit), now)
 	}
 }
 
@@ -269,12 +323,14 @@ func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 		//iosched:allocfree-allow as above
 		c.stamp, c.granted, c.applied = make([]uint64, n), f[:n:n], f[n:]
 	}
-	if !c.known {
-		// Nothing recorded: every candidate is owed an answer.
+	if c.rec != recGrant {
+		// Nothing recorded by slot: every candidate is owed an answer.
+		c.unlist()
+		c.rec = recGrant
 		for _, s := range c.members {
 			c.applied[s] = math.NaN()
+			c.list(s)
 		}
-		c.watch, c.known = append(c.watch[:0], c.members...), true
 	}
 	c.round++
 	for _, g := range grants {
@@ -286,9 +342,7 @@ func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 			}
 			s = c.sorted[i]
 		}
-		if c.stamp[s] != c.round && c.applied[s] == 0 {
-			c.watch = append(c.watch, s) // granted, and not yet watched
-		}
+		c.list(s)
 		c.stamp[s], c.granted[s] = c.round, g.BW
 	}
 	kept := 0
@@ -297,7 +351,7 @@ func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 		if c.stamp[s] == c.round {
 			bw = c.granted[s]
 		} else if !c.Has(s) {
-			c.applied[s] = 0 // left since
+			c.applied[s], c.listed[s] = 0, false // left since
 			continue
 		}
 		if c.applied[s] != bw { // an owed NaN equals nothing
@@ -307,6 +361,8 @@ func (c *Candidates) Grant(set Set, grants []core.Grant, now float64) {
 		if bw != 0 {
 			c.watch[kept] = s
 			kept++
+		} else {
+			c.listed[s] = false
 		}
 	}
 	c.watch = c.watch[:kept]

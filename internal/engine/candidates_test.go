@@ -98,7 +98,9 @@ func TestViewCacheMatchesRebuild(t *testing.T) {
 // the Set the grants are applied through, and it checks every read and
 // every verdict against a model of what each slot holds: a verdict must
 // deliver every changed bandwidth and every owed answer exactly once, and
-// nothing else.
+// nothing else. A full grant at the (b, cap) of the previous verdict, when
+// that was a full grant too, answers exactly the owed members; any other
+// full grant, and the first policy verdict after one, answers every member.
 type candHarness struct {
 	tb     testing.TB
 	c      Candidates
@@ -115,6 +117,9 @@ type candHarness struct {
 	owed []bool
 	// got is what the current verdict applied, by slot; NaN when nothing.
 	got []float64
+	// full says the last verdict was a full grant at (fullBW, fullLimit).
+	full              bool
+	fullBW, fullLimit float64
 }
 
 func (h *candHarness) Apply(slot int32, bw, _ float64) {
@@ -189,26 +194,38 @@ func (h *candHarness) step(op, arg byte) {
 			h.checkGrant(arg)
 		}
 	}
+	h.checkDemand()
+}
+
+// checkDemand requires Demand to be the members' exact node count times b.
+func (h *candHarness) checkDemand() {
+	nodes := 0
+	for s, m := range h.member {
+		if m {
+			nodes += h.arena[s].Nodes
+		}
+	}
+	const nodeBW = 0.0125
+	if d := h.c.Demand(nodeBW); d != float64(nodes)*nodeBW {
+		h.tb.Fatalf("Demand %g, want %d nodes × %g", d, nodes, nodeBW)
+	}
 }
 
 // checkViews compares a read against an ID-sorted rebuild from the model,
-// and checks that the watch list holds each slot that holds bandwidth or
-// is owed an answer exactly once.
+// and checks the record the last verdict left: the watch list holds each
+// slot at most once, exactly the slots marked listed; after a policy
+// verdict those are the slots recorded as holding bandwidth or owed an
+// answer, after a full grant the owed ones.
 func (h *candHarness) checkViews() {
 	var want []int32
-	demand := 0.0
 	for s, m := range h.member {
 		if m {
 			want = append(want, int32(s))
-			demand += float64(h.arena[s].Nodes)
 		}
 	}
 	slices.SortFunc(want, func(a, b int32) int { return cmp.Compare(h.arena[a].ID, h.arena[b].ID) })
 	if h.c.Len() != len(want) {
 		h.tb.Fatalf("Len %d, want %d", h.c.Len(), len(want))
-	}
-	if d := h.c.Demand(1); d != demand {
-		h.tb.Fatalf("Demand %g, want %g", d, demand)
 	}
 	slots, views := h.c.Ordered()
 	if !slices.Equal(slots, want) || len(views) != len(want) {
@@ -221,17 +238,40 @@ func (h *candHarness) checkViews() {
 	}
 	seen := make(map[int32]bool)
 	for _, s := range h.c.watch {
-		if seen[s] || h.c.applied[s] == 0 {
-			h.tb.Fatalf("watch %v: slot %d repeated or holding zero", h.c.watch, s)
+		if seen[s] || !h.c.listed[s] {
+			h.tb.Fatalf("watch %v: slot %d repeated or not marked listed", h.c.watch, s)
 		}
 		seen[s] = true
 	}
-	for s, a := range h.c.applied {
-		if a != 0 && !seen[int32(s)] {
-			h.tb.Fatalf("slot %d holds %g but is not watched (watch %v)", s, a, h.c.watch)
+	for s, l := range h.c.listed {
+		if l != seen[int32(s)] {
+			h.tb.Fatalf("slot %d marked listed %v, on watch %v (watch %v)", s, l, seen[int32(s)], h.c.watch)
 		}
-		if h.c.known && h.member[s] && !h.owed[s] && a != h.held[s] {
-			h.tb.Fatalf("slot %d recorded as holding %g, model %g", s, a, h.held[s])
+	}
+	for s := range h.member {
+		a := 0.0
+		if s < len(h.c.applied) {
+			a = h.c.applied[s]
+		}
+		switch h.c.rec {
+		case recGrant:
+			if (a != 0) != seen[int32(s)] {
+				h.tb.Fatalf("slot %d recorded as holding %g, on watch %v", s, a, seen[int32(s)])
+			}
+			if h.member[s] && !h.owed[s] && a != h.held[s] {
+				h.tb.Fatalf("slot %d recorded as holding %g, model %g", s, a, h.held[s])
+			}
+		case recFull:
+			if a != 0 {
+				h.tb.Fatalf("slot %d recorded as holding %g after a full grant", s, a)
+			}
+			if h.member[s] && h.owed[s] != seen[int32(s)] {
+				h.tb.Fatalf("member slot %d owed %v, on watch %v after a full grant", s, h.owed[s], seen[int32(s)])
+			}
+		default:
+			if len(seen) != 0 {
+				h.tb.Fatalf("watch %v before any verdict", h.c.watch)
+			}
 		}
 	}
 }
@@ -273,24 +313,35 @@ func (h *candHarness) checkGrant(arg byte) {
 	}
 	grants = append(grants, core.Grant{AppID: 1 << 40, BW: 99})
 	rand.New(rand.NewSource(int64(arg))).Shuffle(len(grants), func(i, j int) { grants[i], grants[j] = grants[j], grants[i] })
+	if h.full {
+		h.oweAll() // the first policy verdict after a full grant answers every member
+	}
+	h.full = false
 	h.expect(want, func() { h.c.Grant(h, grants, 0) })
 }
 
-// checkGrantFull applies min(β·b, limit) and checks that, unlike Grant,
-// it answers every candidate. It records nothing, so every candidate is
-// owed an answer at the next Grant.
+// checkGrantFull applies min(β·b, limit) at one of four (b, limit)
+// pairs. At the pair of the previous verdict, when that was a full grant
+// too, it must answer exactly the owed members; otherwise every member.
 func (h *candHarness) checkGrantFull(arg byte) {
-	limit := float64(1 + arg%8)
+	nodeBW, limit := float64(1+(arg>>3)%2), float64(1+arg%8)
 	want := make(map[int32]float64)
 	for s, m := range h.member {
 		if m {
-			want[int32(s)] = min(float64(h.arena[s].Nodes), limit)
-			h.owed[s] = true
+			want[int32(s)] = min(float64(h.arena[s].Nodes)*nodeBW, limit)
 		}
 	}
-	h.expect(want, func() { h.c.GrantFull(h, 1, limit, 0) })
+	if !h.full || nodeBW != h.fullBW || limit != h.fullLimit {
+		h.oweAll()
+	}
+	h.full, h.fullBW, h.fullLimit = true, nodeBW, limit
+	h.expect(want, func() { h.c.GrantFull(h, nodeBW, limit, 0) })
+}
+
+// oweAll marks every member owed an answer.
+func (h *candHarness) oweAll() {
 	for s, m := range h.member {
-		h.owed[s] = m
+		h.owed[s] = h.owed[s] || m
 	}
 }
 
@@ -353,6 +404,7 @@ func FuzzCandidates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 1, 4, 0, 5, 1})
 	f.Add([]byte{0, 9, 1, 0, 4, 0, 3, 0, 0, 3, 1, 0, 5, 2, 2, 0, 5, 0})
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 1, 5, 3, 5, 3, 1, 0, 5, 3, 5, 3, 5, 0})
 	f.Fuzz(runOps)
 }
 

@@ -21,10 +21,13 @@ import (
 // Set is what differs between the engines: the side effect of one
 // candidate's bandwidth verdict. Apply receives every bandwidth that
 // changed, plus one for each slot owed an answer (Kernel.Add), slot by
-// slot; an implementation passes it through Kernel.Transition. The skip
-// paths answer every candidate, and so does the policy verdict after one.
-// A slot that receives nothing holds its previous bandwidth, and its side
-// effects stand (Candidates.Grant says why that is sound).
+// slot; an implementation passes it through Kernel.Transition. A full
+// grant (the skip paths) answers every candidate unless the previous
+// verdict was the same full grant — same b, same cap — and then answers
+// the owed ones; the policy verdict after a full grant answers every
+// candidate. A slot that receives nothing holds its previous bandwidth,
+// and its side effects stand (Candidates.Grant and Candidates.GrantFull
+// say why that is sound).
 type Set interface {
 	Apply(slot int32, bw, now float64)
 }
@@ -83,7 +86,10 @@ func (k *Kernel) Policy() core.Scheduler { return k.policy }
 // A membership change bumps Version; removing a non-member changes
 // nothing. Adding a member changes no membership but owes it an answer:
 // the next verdict applies its bandwidth even when unchanged (the daemon's
-// re-request, whose view went back to Pending and not Started).
+// re-request, whose view went back to Pending and not Started). v.Nodes
+// must not change while slot is a member — the simulator takes it from
+// the application, the daemon from the hello — since the candidate set
+// keeps Σ Nodes as members join and leave (Candidates.Demand).
 //
 //iosched:allocfree
 func (k *Kernel) Add(slot int32, v *core.AppView) {
@@ -165,8 +171,9 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 	// margin that dwarfs greedy summation rounding, a Saturating policy
 	// grants every candidate exactly β·b whatever its internal order. The
 	// margin makes the cap at B a no-op (each β·b is below the demand) and
-	// lets Demand accumulate in any order: every order lands on the same
-	// side of the threshold, so an engine never sorts for a skip.
+	// lets Demand round its sum in any way: every order of summation, and
+	// the exact sum rounded once, lands on the same side of the
+	// threshold, so an engine never walks or sorts for a skip.
 	case single || k.caps.Saturating && k.Cands.Demand(cap.NodeBW) <= cap.TotalBW*(1-1e-9):
 		if k.trace != nil {
 			views := k.Cands.Views()

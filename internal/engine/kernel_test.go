@@ -114,14 +114,20 @@ func TestMemoRule(t *testing.T) {
 
 // TestSkipPathsMemoizePostApplication pins the other half of the
 // iosched-sim/3 rule: the single and saturating outcomes do not depend on
-// the fields their application flips, so the next point memo-skips.
+// the fields their application flips, so the next point memo-skips. App 1
+// comes back with a smaller request between the two: it leaves and
+// re-joins, since a member's Nodes never changes in place, and the
+// saturating full grant, at the b and cap of the single one, must answer
+// it.
 func TestSkipPathsMemoizePostApplication(t *testing.T) {
 	var trace dectrace.Slice
 	k, set := newFake(core.RoundRobin(), &trace)
 	set.add(1, 12, 0)
 	k.Decide(set, 0, capB10, "request") // single: min(12, 10)
 	k.Decide(set, 1, capB10, "progress")
+	k.Remove(0)
 	set.views[0].Nodes = 4
+	k.Add(0, set.views[0])
 	set.add(2, 4, 0)
 	k.Decide(set, 2, capB10, "request") // saturating: 4 + 4 fits
 	k.Decide(set, 3, capB10, "progress")

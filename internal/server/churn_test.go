@@ -165,6 +165,50 @@ func TestRerequestOwedAnswer(t *testing.T) {
 	}
 }
 
+// TestSaturatingRerequestOwedAnswer is TestRerequestOwedAnswer on the
+// Saturating path: two sessions whose demand fits B, so every round is a
+// full grant at the same b and cap, which answers only the sessions owed
+// one. A session that requests again with an unchanged share is owed one
+// and must receive its grant, and its view must be back in
+// Transferring/Started after the request reset it to Pending.
+func TestSaturatingRerequestOwedAnswer(t *testing.T) {
+	srv, addr := startServer(t, core.MaxSysEff()) // B=10, b=1
+	counters := func() (decisions, saturating int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.k.Decisions, srv.k.SkippedSaturating
+	}
+	var clients []*rawClient
+	for id := 1; id <= 2; id++ {
+		rc := dialRaw(t, addr)
+		rc.send(fmt.Sprintf(`{"type":"hello","app_id":%d,"nodes":3}`, id))
+		rc.expect(TypeWelcome, 2*time.Second)
+		rc.send(`{"type":"request","volume_gib":1000}`)
+		if m := rc.expect(TypeGrant, 2*time.Second); m.BW != 3 || m.Seq != 1 {
+			t.Fatalf("app %d's first grant = bw %g seq %d, want 3 with seq 1", id, m.BW, m.Seq)
+		}
+		clients = append(clients, rc)
+	}
+	decisions, saturating := counters()
+	clients[0].send(`{"type":"request","volume_gib":500}`)
+	m := clients[0].next(2 * time.Second)
+	if m == nil {
+		t.Fatal("app 1 re-requested on the Saturating path and was never answered")
+	}
+	if m.Type != TypeGrant || m.BW != 3 || m.Seq != 2 {
+		t.Fatalf("app 1's answer = %q bw %g seq %d, want grant bw 3 seq 2", m.Type, m.BW, m.Seq)
+	}
+	if d, s := counters(); d != decisions || s != saturating+1 {
+		t.Fatalf("the re-request ran %d policy decisions and %d Saturating skips, want 0 and 1", d-decisions, s-saturating)
+	}
+	srv.mu.Lock()
+	v := srv.reg.get(1).view
+	srv.mu.Unlock()
+	if v.Phase != core.Transferring || !v.Started {
+		t.Errorf("app 1 holds bw 3 but its view is phase %v started %v", v.Phase, v.Started)
+	}
+}
+
 // TestWakeTimerDisarmedOnEmptyCandidates is the regression test for the
 // stale wake timer: when the candidate set empties (last complete, or the
 // last I/O-wanting session dropping), an armed Waker timer must be

@@ -30,27 +30,45 @@ func cohortPopulation(n int) Config {
 }
 
 // TestRunAllocationsIndependentOfPopulation pins the mechanism behind the
-// population-scale numbers: a whole Run allocates a fixed number of objects
-// whatever the population size. One closure, map entry or timer per
-// application — 7,000 more allocations at the larger size — fails it; the
-// slack only admits slice-growth steps.
+// population-scale numbers: a whole Run, and a Resume from a mid-run
+// snapshot, allocates a fixed number of objects whatever the population
+// size. One closure, map entry or timer per application — 7,000 more
+// allocations at the larger size — fails it; the slack only admits
+// slice-growth steps.
 func TestRunAllocationsIndependentOfPopulation(t *testing.T) {
-	allocs := func(n int) float64 {
-		cfg := cohortPopulation(n)
-		return testing.AllocsPerRun(3, func() {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Decisions != 0 || res.Skipped == 0 {
-				t.Fatalf("n=%d: %d decisions, %d skipped; want the skip-only regime", n, res.Decisions, res.Skipped)
-			}
-		})
+	check := func(n int, res *Result, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Decisions != 0 || res.Skipped == 0 {
+			t.Fatalf("n=%d: %d decisions, %d skipped; want the skip-only regime", n, res.Decisions, res.Skipped)
+		}
 	}
-	small, large := allocs(1000), allocs(8000)
-	t.Logf("allocations per Run: %g at n=1000, %g at n=8000", small, large)
+	allocs := func(n int) (run, resume float64) {
+		cfg := cohortPopulation(n)
+		run = testing.AllocsPerRun(3, func() {
+			res, err := Run(cfg)
+			check(n, res, err)
+		})
+		snap, err := RunToSnapshot(cfg, 150) // every cohort computing or in I/O
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume = testing.AllocsPerRun(3, func() {
+			res, err := Resume(cfg, snap)
+			check(n, res, err)
+		})
+		return run, resume
+	}
+	small, smallResume := allocs(1000)
+	large, largeResume := allocs(8000)
+	t.Logf("allocations per Run: %g at n=1000, %g at n=8000; per Resume: %g and %g",
+		small, large, smallResume, largeResume)
 	if large-small > 16 {
 		t.Errorf("allocations per Run grow with the population: %g at n=1000, %g at n=8000", small, large)
+	}
+	if largeResume-smallResume > 16 {
+		t.Errorf("allocations per Resume grow with the population: %g at n=1000, %g at n=8000", smallResume, largeResume)
 	}
 
 	// A run that tracks no application never builds the ID index. That a
@@ -116,5 +134,46 @@ func TestLazyLookupResolvesIDs(t *testing.T) {
 		if len(series) != 1 || len(series[sparse(2)]) == 0 {
 			t.Errorf("%s: tracked series %v, want exactly app %d", sched.Name(), series, sparse(2))
 		}
+	}
+}
+
+// TestFirstInstantReleasesSkipTheQueue: applications released at t = 0 go
+// straight onto the first instant's firing list, so an all-zero-release
+// population queues nothing at construction; the first instant releases
+// every one of them and arms its compute deadline.
+func TestFirstInstantReleasesSkipTheQueue(t *testing.T) {
+	const n = 1000
+	s := newSimulation(cohortPopulation(n))
+	if s.eng.Len() != 0 || len(s.zeroPending) != n {
+		t.Fatalf("after construction: %d timers queued, %d apps on the firing list; want 0 and %d",
+			s.eng.Len(), len(s.zeroPending), n)
+	}
+	s.fireDue()
+	if s.eng.Len() != n {
+		t.Fatalf("after the first instant: %d timers queued, want every compute deadline (%d)", s.eng.Len(), n)
+	}
+	for i := range s.apps {
+		if st := &s.apps[i]; st.phase != computing {
+			t.Fatalf("app %d in phase %d after the first instant", i, st.phase)
+		}
+	}
+}
+
+// TestFirstInstantClock: a release in (0, timeEps] belongs to the first
+// instant and moves the kernel's clock to it there, so a deadline set
+// during that instant below it clamps to it. Only releases at exactly 0,
+// which would not move the clock, may skip the queue.
+func TestFirstInstantClock(t *testing.T) {
+	short := platform.NewPeriodic(0, 1, 2e-10, 1, 1)
+	late := platform.NewPeriodic(1, 1, 10, 1, 1)
+	late.Release = 5e-10
+	s := newSimulation(Config{Platform: testPlatform(), Scheduler: core.MaxSysEff(),
+		Apps: []*platform.App{short, late}})
+	s.fireDue()
+	if w, ok := s.eng.When(s.apps[0].timer); !ok || w != late.Release {
+		t.Fatalf("compute deadline of the short app at %g (queued %v), want the clamp to %g", w, ok, late.Release)
+	}
+	if s.apps[1].phase != computing {
+		t.Fatalf("the app released at %g is in phase %d after the first instant", late.Release, s.apps[1].phase)
 	}
 }

@@ -241,9 +241,11 @@ type simulation struct {
 	activeSorted        []int32
 	activeSortedVersion uint64
 
-	// zeroPending holds apps that entered doingIO at or below volEps:
-	// they are invisible to the allocator and complete at the next event
-	// instant, exactly as the original per-event volume sweep did.
+	// zeroPending holds apps due at the next event instant without a
+	// timer: those that entered doingIO at or below volEps, invisible to
+	// the allocator, which complete there exactly as the original
+	// per-event volume sweep did; and, before the first instant, those
+	// released at t = 0.
 	zeroPending []int32
 
 	// due is the per-instant firing list (app indices), reused across
@@ -258,7 +260,7 @@ type simulation struct {
 }
 
 // newArena allocates a simulation for cfg with everything that scales
-// with the population sized once: the application arena, the two index
+// with the population sized once: the application arena, the three index
 // lists, each of which holds an application at most once, and the
 // candidate set's per-slot storage. A run performs a number of
 // allocations independent of len(cfg.Apps).
@@ -269,22 +271,32 @@ func newArena(cfg Config) *simulation {
 	s.set = s
 	s.apps = make([]appState, n)
 	s.k.Cands.Reserve(n)
-	idx := make([]int32, 2*n)
-	s.due, s.active = idx[:0:n], idx[n:n:2*n]
+	idx := make([]int32, 3*n)
+	s.due, s.active, s.zeroPending = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
 	s.eng.HandleIDs(s.timerFired)
 	return s
 }
 
+// newSimulation builds each application's state as it takes the
+// application's deadline timer from one block: one pass over the arena.
+// Releases at t = 0 go straight onto the first instant's firing list;
+// only later ones enter the kernel's queue. fireDue orders each
+// instant's batch by app index, so whether a release comes off the list
+// or out of the queue, and in what sequence, is never observable. Nor is
+// the kernel's clock: a release at 0 fired from the queue would leave it
+// at 0. A release in (0, timeEps] still fires from the queue at the first
+// instant and moves the clock to it, so a deadline set during that
+// instant below it clamps to it (Reschedule).
 func newSimulation(cfg Config) *simulation {
 	s := newArena(cfg)
-	arms := make([]des.Arm, len(cfg.Apps))
-	for i, a := range cfg.Apps {
-		st := &s.apps[i]
-		*st = appState{
+	s.eng.IDTimers(len(s.apps), func(i int32, h des.Handle) (float64, bool) {
+		a := cfg.Apps[i]
+		s.apps[i] = appState{
 			app:       a,
-			index:     i,
+			index:     int(i),
 			phase:     notReleased,
 			until:     a.Release,
+			timer:     h,
 			activePos: -1,
 			view: core.AppView{
 				ID:        a.ID,
@@ -294,15 +306,12 @@ func newSimulation(cfg Config) *simulation {
 				LastIOEnd: a.Release,
 			},
 		}
-		arms[i] = des.Arm{At: a.Release, ID: int32(i)}
-	}
-	// Bulk-arm the release timers: sequence numbers are assigned in app
-	// order exactly as the former per-app At loop did, so same-instant
-	// releases fire identically; the events land in one block and one
-	// O(n) heapify instead of n sifts.
-	for i, h := range s.eng.ArmAll(arms) {
-		s.apps[i].timer = h
-	}
+		if a.Release == 0 {
+			s.zeroPending = append(s.zeroPending, i)
+			return 0, false
+		}
+		return a.Release, true
+	})
 	s.unfinished = len(s.apps)
 	s.finishSetup()
 	return s

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/engine"
 )
 
@@ -271,13 +272,24 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 	if len(snap.Apps) != len(cfg.Apps) {
 		return nil, fmt.Errorf("sim: snapshot has %d apps, config %d", len(snap.Apps), len(cfg.Apps))
 	}
-	byID := make(map[int]*AppState, len(snap.Apps))
+	// A captured snapshot lists the applications in config order, whose
+	// IDs are unique: app i's state is snap.Apps[i]. Only a snapshot in
+	// another order is indexed by ID.
+	var byID map[int]*AppState
 	for i := range snap.Apps {
-		as := &snap.Apps[i]
-		if _, dup := byID[as.ID]; dup {
-			return nil, fmt.Errorf("sim: snapshot has duplicate app %d", as.ID)
+		if snap.Apps[i].ID != cfg.Apps[i].ID {
+			byID = make(map[int]*AppState, len(snap.Apps))
+			break
 		}
-		byID[as.ID] = as
+	}
+	if byID != nil {
+		for i := range snap.Apps {
+			as := &snap.Apps[i]
+			if _, dup := byID[as.ID]; dup {
+				return nil, fmt.Errorf("sim: snapshot has duplicate app %d", as.ID)
+			}
+			byID[as.ID] = as
+		}
 	}
 
 	s := newArena(cfg)
@@ -291,9 +303,12 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 		SkippedSingleFullGrant: snap.SkippedSingleFullGrant,
 	}
 	for i, a := range cfg.Apps {
-		as, ok := byID[a.ID]
-		if !ok {
-			return nil, fmt.Errorf("sim: snapshot has no state for app %d", a.ID)
+		as := &snap.Apps[i]
+		if byID != nil {
+			var ok bool
+			if as, ok = byID[a.ID]; !ok {
+				return nil, fmt.Errorf("sim: snapshot has no state for app %d", a.ID)
+			}
 		}
 		st := &s.apps[i]
 		*st = appState{
@@ -318,9 +333,6 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 				CreditedWork:  as.CreditedWork,
 				CreditedIdeal: as.CreditedIdeal,
 			},
-			// Unscheduled until a pending deadline below, or a later phase
-			// change, arms it.
-			timer: s.eng.IDTimer(int32(i)),
 		}
 		switch as.Phase {
 		case PhaseNotReleased, PhaseComputing, PhaseRequesting:
@@ -339,11 +351,6 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			if as.Until < 0 || math.IsNaN(as.Until) {
 				return nil, fmt.Errorf("sim: app %d has deadline %g", a.ID, as.Until)
 			}
-			// A deadline at or before the snapshot instant is legal for
-			// externally built snapshots (a daemon view whose compute
-			// phase should already have ended); it fires at the first
-			// resumed event instant.
-			s.eng.Reschedule(st.timer, as.Until)
 			s.unfinished++
 		case PhaseIO:
 			if st.idx >= len(a.Instances) {
@@ -366,6 +373,17 @@ func newSimulationFromSnapshot(cfg Config, snap *Snapshot) (*simulation, error) 
 			return nil, fmt.Errorf("sim: app %d has unknown phase %q", a.ID, as.Phase)
 		}
 	}
+
+	// Arm the pending deadlines. One at or before the snapshot instant is
+	// legal for externally built snapshots (a daemon view whose compute
+	// phase should already have ended); it fires at the first resumed
+	// event instant. The other timers stay unarmed until a later phase
+	// change arms them.
+	s.eng.IDTimers(len(s.apps), func(i int32, h des.Handle) (float64, bool) {
+		st := &s.apps[i]
+		st.timer = h
+		return st.until, st.phase == notReleased || st.phase == computing || st.phase == requesting
+	})
 
 	// Rebuild the membership sets in index order. The sets themselves
 	// are unordered now; rebuilding in index order just keeps the
