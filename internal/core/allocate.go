@@ -336,18 +336,11 @@ func MaxMinFairShareInto(out []float64, idx []int, caps []float64, total float64
 	}
 }
 
-// WeightedFairShare computes the weighted max-min fair allocation:
-// repeatedly split the remaining bandwidth among unsaturated applications
-// in proportion to their weights, capping each at its own limit. Equal
-// weights reduce it to MaxMinFairShare.
-func WeightedFairShare(caps, weights []float64, total float64) []float64 {
-	out := make([]float64, len(caps))
-	weightedFairShareInto(out, make([]int, len(caps)), caps, weights, total)
-	return out
-}
-
-// weightedFairShareInto is WeightedFairShare writing into out, with idx as
-// index scratch; out and idx must have the length of caps.
+// weightedFairShareInto computes the weighted max-min fair allocation into
+// out: repeatedly split the remaining bandwidth among unsaturated
+// applications in proportion to their weights, capping each at its own
+// limit. Equal weights reduce it to MaxMinFairShare. idx is index
+// scratch; out and idx must have the length of caps.
 //
 //iosched:allocfree
 func weightedFairShareInto(out []float64, idx []int, caps, weights []float64, total float64) {

@@ -89,32 +89,55 @@ type keyed struct {
 	pos int32
 }
 
+// prefixLen is how many favored candidates one linear pass selects before
+// the walk falls back to a heap. On Figure 6 traffic a call serves at most
+// four candidates 83 % of the time (docs/performance.md, "The policy
+// pass").
+const prefixLen = 4
+
 // AllocateInto implements ScratchAllocator: identical decisions to
-// Allocate, reusing the scratch's heap and grant buffers. Each key is
-// evaluated once; the started candidates (Priority only) and the rest are
-// heapified on (key, ID) one after the other, and the greedy walk of
-// Section 3.1 (GreedyAllocate's loop) pops only until the capacity is
-// gone: O(n + k·log n) for k granted applications, one path for every n.
+// Allocate, reusing the scratch's buffers. Each key is evaluated once; the
+// started candidates (Priority only) and then the rest are walked in the
+// favored-first order of (key, ID), and the greedy walk of Section 3.1
+// (GreedyAllocate's loop) stops as soon as the capacity is gone. Each group
+// is walked in two stages: one linear pass picks its prefixLen most
+// favored entries, which are served in order, and only if capacity is left
+// are the group's other entries heapified and popped. When even prefixLen
+// of the largest caps leave capacity over, the prefix cannot end the walk
+// and the whole group goes to the heap at once. Either way the cost is
+// O(n + k·log n) for k granted applications.
 //
 //iosched:allocfree
 func (h *Heuristic) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Capacity) []Grant {
-	entries, started := h.fillKeys(scr, now, apps)
+	entries, split, maxNodes := h.fillKeys(scr, now, apps)
 	grants := scr.grants[:0]
 	avail := cap.TotalBW
-	for _, heap := range [2][]keyed{entries[:started], entries[started:]} {
+	prefix := !(avail > prefixLen*float64(maxNodes)*cap.NodeBW)
+	for _, group := range [2][]keyed{entries[split:], entries[:split]} {
 		if avail <= 0 {
 			break
 		}
-		for i := len(heap)/2 - 1; i >= 0; i-- {
-			siftDown(heap, apps, i, heap[i])
+		if prefix {
+			var top [prefixLen]keyed
+			var m int
+			group, m = selectFavored(apps, group, &top)
+			for i := 0; i < m && avail > 0; i++ {
+				grants, avail = serve(grants, apps[top[i].pos], cap.NodeBW, avail)
+			}
+			if !(avail > 0) {
+				break
+			}
 		}
-		for len(heap) > 0 && avail > 0 {
-			v := apps[heap[0].pos]
-			last := len(heap) - 1
-			x := heap[last]
-			heap = heap[:last]
+		for i := len(group)/2 - 1; i >= 0; i-- {
+			siftDown(group, apps, i, group[i])
+		}
+		for len(group) > 0 && avail > 0 {
+			v := apps[group[0].pos]
+			last := len(group) - 1
+			x := group[last]
+			group = group[:last]
 			if last > 0 {
-				siftDown(heap, apps, 0, x)
+				siftDown(group, apps, 0, x)
 			}
 			grants, avail = serve(grants, v, cap.NodeBW, avail)
 		}
@@ -123,13 +146,43 @@ func (h *Heuristic) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap
 	return grants
 }
 
-// fillKeys evaluates every candidate's sort key, once, into the scratch's
-// heap storage: under Priority the started candidates from the front and
-// the others from the back. It returns the entries and where the two
-// groups meet (0 without Priority).
+// selectFavored puts the m = min(prefixLen, len(group)) most favored
+// entries of group into top[:m], most favored first, and moves every other
+// entry to the front of group, which it returns shortened to them. One
+// pass; an entry less favored than the m-th costs one comparison.
 //
 //iosched:allocfree
-func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keyed, int) {
+func selectFavored(apps []*AppView, group []keyed, top *[prefixLen]keyed) (rest []keyed, m int) {
+	n := 0
+	for _, e := range group {
+		if m == prefixLen {
+			if !favored(apps, e, top[m-1]) {
+				group[n] = e
+				n++
+				continue
+			}
+			m--
+			group[n] = top[m]
+			n++
+		}
+		j := m
+		for ; j > 0 && favored(apps, e, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = e
+		m++
+	}
+	return group[:n], m
+}
+
+// fillKeys evaluates every candidate's sort key, once, into the scratch's
+// heap storage: the candidates in the caller's order from the front, except
+// that under Priority the started ones go in from the back. It returns the
+// entries, where the two groups meet (len(apps) without Priority) and the
+// largest Nodes among the candidates.
+//
+//iosched:allocfree
+func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keyed, int, int) {
 	// Sized by the capacity of the caller's slice: an engine that presized
 	// its view never sees the heap regrow behind it.
 	//iosched:allocfree-allow grows to the run's high-water candidate capacity, then reused
@@ -137,6 +190,7 @@ func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keye
 	entries := scr.heap[:len(apps)]
 	below := false
 	lo, hi := 0, len(entries)
+	maxNodes := 0
 	for i, v := range apps {
 		var k float64
 		switch h.key {
@@ -148,12 +202,13 @@ func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keye
 			k = v.Ratio(now)
 			below = below || k < h.gamma
 		}
+		maxNodes = max(maxNodes, v.Nodes)
 		if h.Priority && v.Started {
-			entries[lo] = keyed{key: k, pos: int32(i)}
-			lo++
-		} else {
 			hi--
 			entries[hi] = keyed{key: k, pos: int32(i)}
+		} else {
+			entries[lo] = keyed{key: k, pos: int32(i)}
+			lo++
 		}
 	}
 	if h.key == keyMinMax && !below {
@@ -161,7 +216,7 @@ func (h *Heuristic) fillKeys(scr *Scratch, now float64, apps []*AppView) ([]keye
 			entries[i].key = apps[entries[i].pos].WeightedEff(now)
 		}
 	}
-	return entries, lo
+	return entries, lo, maxNodes
 }
 
 // favored reports whether a comes strictly before b in the favored-first

@@ -197,13 +197,19 @@ func sameVerdict(a, b []Grant) bool {
 	return true
 }
 
-// checkAgainstReference runs one decoded decision through all eight
-// heuristics, bare and under Timeout, and requires verdicts equal to the
-// oracle's element for element — ID and exact BW bits — from Allocate and
-// from AllocateInto on a scratch left dirty by the previous policy.
+// checkAgainstReference runs one decoded decision through checkVerdicts.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	views, cap := decodeCase(data)
+	checkVerdicts(t, views, cap)
+}
+
+// checkVerdicts runs one decision through all eight heuristics, bare and
+// under Timeout, and requires verdicts equal to the oracle's element for
+// element — ID and exact BW bits — from Allocate and from AllocateInto on
+// a scratch left dirty by the previous policy.
+func checkVerdicts(t *testing.T, views []*AppView, cap Capacity) {
+	t.Helper()
 	var scr Scratch
 	for _, p := range referencePairs() {
 		want := p.ref.Allocate(fuzzNow, views, cap)
@@ -265,6 +271,9 @@ func TestHeuristicsMatchReference(t *testing.T) {
 // keyed heap and the three-sort oracle disagree.
 func FuzzHeuristicVerdict(f *testing.F) {
 	for _, b := range fuzzSeeds() {
+		f.Add(b)
+	}
+	for _, b := range prefixSeeds() {
 		f.Add(b)
 	}
 	f.Fuzz(checkAgainstReference)

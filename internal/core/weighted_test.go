@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// weightedFairShare is weightedFairShareInto into fresh slices: the
+// allocation ProportionalShare makes, as a plain function of caps and
+// weights.
+func weightedFairShare(caps, weights []float64, total float64) []float64 {
+	out := make([]float64, len(caps))
+	weightedFairShareInto(out, make([]int, len(caps)), caps, weights, total)
+	return out
+}
+
 func TestWeightedFairShare(t *testing.T) {
 	cases := []struct {
 		caps, weights []float64
@@ -23,7 +32,7 @@ func TestWeightedFairShare(t *testing.T) {
 		{nil, nil, 10, nil},
 	}
 	for i, c := range cases {
-		got := WeightedFairShare(c.caps, c.weights, c.total)
+		got := weightedFairShare(c.caps, c.weights, c.total)
 		if len(got) != len(c.want) {
 			t.Errorf("case %d: len %d, want %d", i, len(got), len(c.want))
 			continue
@@ -43,7 +52,7 @@ func TestWeightedFairShareMismatchedLengthsPanic(t *testing.T) {
 			t.Error("no panic for mismatched lengths")
 		}
 	}()
-	WeightedFairShare([]float64{1, 2}, []float64{1}, 10)
+	weightedFairShare([]float64{1, 2}, []float64{1}, 10)
 }
 
 // Properties: shares respect caps and total; full use when demand allows;
@@ -62,7 +71,7 @@ func TestWeightedFairShareQuick(t *testing.T) {
 			demand += caps[i]
 		}
 		total := float64(totRaw%500) + 1
-		out := WeightedFairShare(caps, weights, total)
+		out := weightedFairShare(caps, weights, total)
 		var sum float64
 		for i, v := range out {
 			if v < -1e-9 || v > caps[i]+1e-9 {
@@ -81,7 +90,7 @@ func TestWeightedFairShareQuick(t *testing.T) {
 		for i := range ones {
 			ones[i] = 1
 		}
-		w := WeightedFairShare(caps, ones, total)
+		w := weightedFairShare(caps, ones, total)
 		m := MaxMinFairShare(caps, total)
 		for i := range w {
 			if math.Abs(w[i]-m[i]) > 1e-9 {
