@@ -124,7 +124,7 @@ func (h *Heuristic) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap
 			for i := 0; i < m && avail > 0; i++ {
 				grants, avail = serve(grants, apps[top[i].pos], cap.NodeBW, avail)
 			}
-			if !(avail > 0) {
+			if !(avail > 0) { // spent, or a NaN capacity
 				break
 			}
 		}

@@ -122,7 +122,7 @@ func TestPrefixNaNCapacityGrantsNothing(t *testing.T) {
 // and zero-node views.
 func prefixSeeds() [][]byte {
 	// view is one decoded candidate: fuzzNodes[nodes], fuzzLastEnd[key]
-	// and, for the efficiency keys, fuzzWork[key] over fuzzIdeal[key].
+	// and, for the efficiency keys, fuzzWork[key] over fuzzIdeal[7-key].
 	view := func(nodes, key byte, started bool) []byte {
 		b := []byte{nodes, key, key, 7 - key, 0, 0}
 		if started {
@@ -151,7 +151,7 @@ func prefixSeeds() [][]byte {
 	}
 	return append(seeds,
 		seed(6, 12, four, 0),     // capacity demand/3: exactly four caps
-		seed(6, 12, oneLarge, 0), // 108/3 = 36: four caps and a pop
+		seed(6, 12, oneLarge, 0), // 108/3 = 36: the prefix, then pops
 		append([]byte{0, 3}, bytes.Repeat(view(4, 2, false), 10)...), // every key ties
 		seed(6, 12, oneLarge, 2),
 		seed(6, 12, oneLarge, 6),
