@@ -114,15 +114,25 @@ func main() {
 	if *jsonOut {
 		passthrough = os.Stderr
 	}
-	measured := parseBench(os.Stdin, passthrough)
+	known := map[string]bool{}
+	for name := range base.Benchmarks {
+		known[name] = true
+	}
+	var required []string
+	if *require != "" {
+		required = strings.Split(*require, ",")
+		for i, name := range required {
+			required[i] = strings.TrimSpace(name)
+			known[required[i]] = true
+		}
+	}
+	measured := parseBench(os.Stdin, passthrough, known)
 	if len(measured) == 0 {
 		fatal("no benchmark lines on stdin (pipe `go test -bench` output in)")
 	}
-	if *require != "" {
-		for _, name := range strings.Split(*require, ",") {
-			if _, ok := measured[strings.TrimSpace(name)]; !ok {
-				fatal("required benchmark %q missing from stdin (did go test fail?)", name)
-			}
+	for _, name := range required {
+		if _, ok := measured[name]; !ok {
+			fatal("required benchmark %q missing from stdin (did go test fail?)", name)
 		}
 	}
 
@@ -217,11 +227,15 @@ func check(name string, m measurement, ref BenchRef, factor, allocSlack float64)
 }
 
 // parseBench extracts per-benchmark measurements from `go test -bench`
-// output. The trailing -N processor-count suffix is stripped so baselines
-// transfer between machines with different GOMAXPROCS.
-func parseBench(f *os.File, passthrough io.Writer) map[string]measurement {
+// output, keyed by row name. A line whose name is a known row (baseline
+// or required) is that row; otherwise a trailing -N is taken for the
+// GOMAXPROCS suffix and stripped, so baselines transfer between machines
+// with different GOMAXPROCS. The exact match comes first because go test
+// prints no suffix at GOMAXPROCS=1, where a sub-benchmark named apps-8
+// must stay apps-8.
+func parseBench(r io.Reader, passthrough io.Writer, known map[string]bool) map[string]measurement {
 	out := map[string]measurement{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(passthrough, line) // keep the raw output in the CI log
@@ -246,7 +260,7 @@ func parseBench(f *os.File, passthrough io.Writer) map[string]measurement {
 			}
 		}
 		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
+		if i := strings.LastIndex(name, "-"); i > 0 && !known[name] {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
 			}
