@@ -3,6 +3,7 @@ package campaign
 import (
 	"math"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -27,7 +28,7 @@ type TelemetrySummary struct {
 	StretchP99  float64 `json:"stretch_p99"`
 
 	// SteadyWindow is [0.1·makespan, 0.9·makespan]; the two objective
-	// fields below are telemetry.WindowedSummary over it.
+	// fields below are metrics.SummarizeWindow over it.
 	SteadyWindow       telemetry.Window `json:"steady_window"`
 	SteadySysEff       float64          `json:"steady_sys_eff"`
 	SteadyMeanDilation float64          `json:"steady_mean_dilation"`
@@ -50,7 +51,7 @@ func summarizeTelemetry(res *sim.Result, totalNodes int) *TelemetrySummary {
 		ts.StretchP99 = mustAggregate(tel, "max_stretch", full).P99
 	}
 	w := telemetry.Window{Start: 0.1 * res.Summary.Makespan, End: 0.9 * res.Summary.Makespan}
-	steady := telemetry.WindowedSummary(res.Apps, totalNodes, w)
+	steady := metrics.SummarizeWindow(res.Apps, totalNodes, w.Start, w.End)
 	ts.SteadyWindow = w
 	ts.SteadySysEff = steady.SysEfficiency
 	ts.SteadyMeanDilation = steady.MeanDilation

@@ -77,25 +77,42 @@ type Summary struct {
 // Summarize computes the run objectives over the given applications on a
 // platform with totalNodes nodes. Idle nodes (not assigned to any
 // application) count against SysEfficiency exactly as in the paper's
-// definition.
+// definition. It is SummarizeWindow over (−∞, +∞), where every weight is
+// exactly 1.
 func Summarize(apps []AppPerf, totalNodes int) Summary {
+	return SummarizeWindow(apps, totalNodes, math.Inf(-1), math.Inf(1))
+}
+
+// SummarizeWindow computes the objectives restricted to the window
+// [start, end]: each application contributes with weight = the fraction
+// of its [Release, Finish] lifetime overlapping the window (apps with no
+// overlap are excluded), and Makespan is the latest in-window finish. It
+// is the open-system steady-state variant of the paper's objectives. A
+// lifetime inside the window has weight exactly 1, and weight·β is then
+// β itself, so a window covering every application performs the
+// floating-point operations of the unwindowed definition.
+func SummarizeWindow(apps []AppPerf, totalNodes int, start, end float64) Summary {
 	if totalNodes <= 0 {
 		panic(fmt.Sprintf("metrics: totalNodes = %d", totalNodes))
 	}
 	var s Summary
 	s.Dilation = 1
-	var wsum, dsum, nodes float64
+	var dsum, nodes float64
 	for _, a := range apps {
-		s.SysEfficiency += float64(a.Nodes) * a.AchievedEff()
-		s.UpperLimit += float64(a.Nodes) * a.OptimalEff()
+		weight, last := overlapWeight(a, start, end)
+		if weight <= 0 {
+			continue
+		}
+		wn := weight * float64(a.Nodes)
+		s.SysEfficiency += wn * a.AchievedEff()
+		s.UpperLimit += wn * a.OptimalEff()
 		if d := a.Dilation(); d > s.Dilation {
 			s.Dilation = d
 		}
-		dsum += float64(a.Nodes) * a.Dilation()
-		nodes += float64(a.Nodes)
-		wsum += a.Work
-		if a.Finish > s.Makespan {
-			s.Makespan = a.Finish
+		dsum += wn * a.Dilation()
+		nodes += wn
+		if last > s.Makespan {
+			s.Makespan = last
 		}
 	}
 	s.SysEfficiency *= 100 / float64(totalNodes)
@@ -104,6 +121,27 @@ func Summarize(apps []AppPerf, totalNodes int) Summary {
 		s.MeanDilation = dsum / nodes
 	}
 	return s
+}
+
+// overlapWeight returns the fraction of a's lifetime inside [start, end]
+// and the in-window end instant it contributes to Makespan. A lifetime
+// inside the window returns exactly 1 and its Finish; so does one with a
+// NaN bound, as Summarize has always counted every record. Zero-length
+// lifetimes count fully when their instant lies in the window.
+func overlapWeight(a AppPerf, start, end float64) (weight, last float64) {
+	if !(a.Release < start || a.Finish > end) {
+		return 1, a.Finish
+	}
+	lo, hi := max(a.Release, start), min(a.Finish, end)
+	if hi < lo {
+		return 0, 0
+	}
+	dur := a.Finish - a.Release
+	if dur <= 0 {
+		// Instantaneous lifetime intersecting the window: all of it.
+		return 1, hi
+	}
+	return (hi - lo) / dur, hi
 }
 
 // PerAppDilations returns each application's slowdown, ordered by ID.

@@ -244,118 +244,6 @@ func TestPointBuilder(t *testing.T) {
 	}
 }
 
-// randomApps builds a deterministic synthetic population for the
-// windowed-summary tests.
-func randomApps(n int, rng *rand.Rand) []metrics.AppPerf {
-	apps := make([]metrics.AppPerf, n)
-	for i := range apps {
-		rel := rng.Float64() * 50
-		ideal := 10 + rng.Float64()*100
-		work := ideal * (0.3 + 0.6*rng.Float64())
-		finish := rel + ideal*(1+rng.Float64()*2)
-		apps[i] = metrics.AppPerf{
-			ID: i + 1, Nodes: 100 + rng.Intn(900),
-			Release: rel, Finish: finish,
-			Work: work, IdealTime: ideal,
-			IOTime: ideal - work, Volume: 10,
-		}
-	}
-	return apps
-}
-
-// TestWindowedSummaryFullRun pins the acceptance criterion: a window
-// covering every lifetime reproduces metrics.Summarize bit for bit.
-func TestWindowedSummaryFullRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		apps := randomApps(1+rng.Intn(40), rng)
-		total := 0
-		for _, a := range apps {
-			total += a.Nodes
-		}
-		total += rng.Intn(1000) // idle nodes
-		want := metrics.Summarize(apps, total)
-		got := WindowedSummary(apps, total, Window{Start: 0, End: math.Inf(1)})
-		if got != want {
-			t.Fatalf("trial %d: full-window summary differs:\n got %+v\nwant %+v", trial, got, want)
-		}
-		// A tight window [min release, max finish] must also cover fully.
-		w := Window{Start: math.Inf(1), End: math.Inf(-1)}
-		for _, a := range apps {
-			w.Start = math.Min(w.Start, a.Release)
-			w.End = math.Max(w.End, a.Finish)
-		}
-		if got := WindowedSummary(apps, total, w); got != want {
-			t.Fatalf("trial %d: tight full-window summary differs:\n got %+v\nwant %+v", trial, got, want)
-		}
-	}
-}
-
-func TestWindowedSummaryPartial(t *testing.T) {
-	apps := []metrics.AppPerf{
-		{ID: 1, Nodes: 100, Release: 0, Finish: 10, Work: 5, IdealTime: 10},
-		{ID: 2, Nodes: 100, Release: 20, Finish: 30, Work: 5, IdealTime: 10},
-	}
-	// Window covering only app 1.
-	got := WindowedSummary(apps, 200, Window{Start: 0, End: 15})
-	only1 := metrics.Summarize(apps[:1], 200)
-	if got != only1 {
-		t.Fatalf("window excluding app 2: got %+v, want %+v", got, only1)
-	}
-	// Half of app 2's lifetime: its weight halves the node contribution.
-	got = WindowedSummary(apps, 200, Window{Start: 0, End: 25})
-	a2 := apps[1]
-	wantSys := (100*apps[0].AchievedEff() + 0.5*100*a2.AchievedEff()) * 100 / 200
-	if math.Abs(got.SysEfficiency-wantSys) > 1e-12 {
-		t.Fatalf("half-overlap SysEff %g, want %g", got.SysEfficiency, wantSys)
-	}
-	if got.Makespan != 25 {
-		t.Fatalf("in-window makespan %g, want 25", got.Makespan)
-	}
-	// Empty window: no contributions.
-	got = WindowedSummary(apps, 200, Window{Start: 11, End: 19})
-	if got.SysEfficiency != 0 || got.MeanDilation != 0 {
-		t.Fatalf("empty window gave %+v", got)
-	}
-}
-
-// TestWindowedSummaryEdgeCases pins the partial-overlap corners: instant
-// (single-point) windows, zero-length lifetimes, and a window that lies
-// entirely past every finish (the empty tail).
-func TestWindowedSummaryEdgeCases(t *testing.T) {
-	apps := []metrics.AppPerf{
-		{ID: 1, Nodes: 100, Release: 0, Finish: 10, Work: 5, IdealTime: 10},
-		{ID: 2, Nodes: 50, Release: 5, Finish: 5, Work: 0, IdealTime: 1},
-	}
-	// An instant window inside app 1's lifetime: overlap duration 0, so
-	// weight 0 — except the zero-length lifetime sitting exactly on the
-	// instant, which counts fully.
-	got := WindowedSummary(apps, 200, Window{Start: 5, End: 5})
-	only2 := metrics.Summarize(apps[1:], 200)
-	if got.SysEfficiency != only2.SysEfficiency || got.Makespan != 5 {
-		t.Fatalf("instant window: got %+v, want only app 2 (%+v)", got, only2)
-	}
-	// An instant window touching a lifetime edge still yields weight 0
-	// for finite lifetimes: nothing contributes.
-	got = WindowedSummary(apps, 200, Window{Start: 10, End: 10})
-	if got.SysEfficiency != 0 || got.Makespan != 0 {
-		t.Fatalf("edge instant window gave %+v", got)
-	}
-	// Empty tail: a window past every finish sees no application and
-	// returns the neutral summary (Dilation floor 1, everything else 0).
-	got = WindowedSummary(apps, 200, Window{Start: 11, End: math.Inf(1)})
-	if got.SysEfficiency != 0 || got.MeanDilation != 0 || got.Makespan != 0 || got.Dilation != 1 {
-		t.Fatalf("empty tail gave %+v", got)
-	}
-	// A window clipping only the head of a lifetime weights by the
-	// overlapped fraction.
-	got = WindowedSummary(apps[:1], 200, Window{Start: 0, End: 2.5})
-	want := 0.25 * 100 * apps[0].AchievedEff() * 100 / 200
-	if math.Abs(got.SysEfficiency-want) > 1e-12 {
-		t.Fatalf("head clip SysEff %g, want %g", got.SysEfficiency, want)
-	}
-}
-
 // TestWindowedValuesAcrossRingWrap pins windowed reads over a probe
 // whose ring overwrote its oldest points: a window straddling the
 // overwrite boundary must see only the surviving points, in time order.

@@ -85,72 +85,3 @@ func (t *Telemetry) Aggregate(name string, w Window) (SeriesStats, error) {
 		Max:   s.Max(),
 	}, nil
 }
-
-// WindowedSummary computes the paper objectives restricted to a window:
-// each application contributes with weight = the fraction of its
-// [Release, Finish] lifetime overlapping the window (apps with no
-// overlap are excluded), and Makespan is the latest in-window finish.
-// It is the open-system steady-state variant of metrics.Summarize: a
-// window covering every application's full lifetime assigns weight
-// exactly 1, and the loop below performs metrics.Summarize's
-// floating-point operations in the same order, so the full-window result
-// reproduces Summarize bit for bit (pinned by TestWindowedSummaryFullRun).
-func WindowedSummary(apps []metrics.AppPerf, totalNodes int, w Window) metrics.Summary {
-	if totalNodes <= 0 {
-		panic(fmt.Sprintf("telemetry: totalNodes = %d", totalNodes))
-	}
-	var s metrics.Summary
-	s.Dilation = 1
-	var dsum, nodes float64
-	for _, a := range apps {
-		weight, end := overlapWeight(a, w)
-		if weight <= 0 {
-			continue
-		}
-		wn := weight * float64(a.Nodes)
-		s.SysEfficiency += wn * a.AchievedEff()
-		s.UpperLimit += wn * a.OptimalEff()
-		if d := a.Dilation(); d > s.Dilation {
-			s.Dilation = d
-		}
-		dsum += wn * a.Dilation()
-		nodes += wn
-		if end > s.Makespan {
-			s.Makespan = end
-		}
-	}
-	s.SysEfficiency *= 100 / float64(totalNodes)
-	s.UpperLimit *= 100 / float64(totalNodes)
-	if nodes > 0 {
-		s.MeanDilation = dsum / nodes
-	}
-	return s
-}
-
-// overlapWeight returns the fraction of a's lifetime inside w and the
-// in-window end instant it contributes to Makespan. Full containment
-// returns exactly 1.0, preserving bit-identity with the unwindowed sum
-// (weight·x multiplies by the float literal 1, and x·1 == x in IEEE 754
-// — in fact the code path is the same either way). Zero-length
-// lifetimes count fully when their instant lies in the window.
-func overlapWeight(a metrics.AppPerf, w Window) (weight, end float64) {
-	if a.Release >= w.Start && a.Finish <= w.End {
-		return 1, a.Finish
-	}
-	lo, hi := a.Release, a.Finish
-	if lo < w.Start {
-		lo = w.Start
-	}
-	if hi > w.End {
-		hi = w.End
-	}
-	if hi < lo {
-		return 0, 0
-	}
-	dur := a.Finish - a.Release
-	if dur <= 0 {
-		// Instantaneous lifetime intersecting the window: all of it.
-		return 1, hi
-	}
-	return (hi - lo) / dur, hi
-}

@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -191,7 +192,10 @@ func (e *Engine) measure(policy string, at float64, apps []*platform.App, final 
 	for _, a := range apps {
 		byID[a.ID] = a
 	}
-	var weighted, nodes, effSum float64
+	// The objective is metrics' own: an unfinished application is
+	// measured at the horizon with the work credited so far.
+	var weighted, nodes float64
+	perfs := make([]metrics.AppPerf, 0, len(final.Apps))
 	for i := range final.Apps {
 		as := &final.Apps[i]
 		app := byID[as.ID]
@@ -200,17 +204,15 @@ func (e *Engine) measure(policy string, at float64, apps []*platform.App, final 
 		}
 		ideal := app.DedicatedTime(e.cfg.Platform)
 		af := AppForecast{ID: as.ID, Name: app.Name, Nodes: app.Nodes}
-		var el, work float64
+		perf := metrics.AppPerf{Nodes: app.Nodes, Release: app.Release}
 		if as.Phase == sim.PhaseFinished {
 			af.Finish = as.Finish
 			af.Done = true
-			el = af.Finish - app.Release
-			work = app.TotalWork()
+			perf.Finish, perf.Work = as.Finish, app.TotalWork()
 		} else {
 			f.Done = false
 			af.Finish = final.Time + remainingDedicated(app, as, final.Time, e.cfg.Platform)
-			el = final.Time - app.Release
-			work = as.CreditedWork
+			perf.Finish, perf.Work = final.Time, as.CreditedWork
 		}
 		af.Stretch = 1
 		if ideal > 0 && af.Finish > app.Release {
@@ -223,20 +225,13 @@ func (e *Engine) measure(policy string, at float64, apps []*platform.App, final 
 		}
 		weighted += float64(app.Nodes) * af.Stretch
 		nodes += float64(app.Nodes)
-		switch {
-		case el <= 0:
-			// Not yet released (or finishing at release): count it at the
-			// congestion-free rate, matching metrics.AppPerf.AchievedEff.
-			effSum += float64(app.Nodes)
-		default:
-			effSum += float64(app.Nodes) * (work / el)
-		}
+		perfs = append(perfs, perf)
 		f.Apps = append(f.Apps, af)
 	}
 	if nodes > 0 {
 		f.MeanStretch = weighted / nodes
 	}
-	f.SysEfficiency = effSum * 100 / float64(e.cfg.Platform.Nodes)
+	f.SysEfficiency = metrics.Summarize(perfs, e.cfg.Platform.Nodes).SysEfficiency
 	return f
 }
 

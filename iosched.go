@@ -229,10 +229,6 @@ type (
 var (
 	// TelemetrySeriesNames lists the congestion series a probe samples.
 	TelemetrySeriesNames = telemetry.SeriesNames
-	// TelemetryWindowedSummary reduces per-app performance records to the
-	// paper's objectives over one window (bit-identical to Summarize for
-	// a window containing every record).
-	TelemetryWindowedSummary = telemetry.WindowedSummary
 	// TelemetrySparkline renders a series as a UTF-8 sparkline.
 	TelemetrySparkline = telemetry.Sparkline
 )
