@@ -13,7 +13,7 @@ var nilgateScope = []string{"internal/sim", "internal/server", "internal/engine"
 
 // NilGate checks that every telemetry/dectrace/health capture call site
 // in the engines is dominated by a nil check of its receiver. Recognized
-// capture receivers: *telemetry.Probe (Due, Record, RecordApp),
+// capture receivers: *telemetry.Probe (Due, Record),
 // *telemetry.Histogram (Observe, ObserveDuration), dectrace.Sink
 // (Observe) and *health.Monitor (Observe). Accepted gates, within the
 // enclosing function:
@@ -261,7 +261,7 @@ func (w *nilgateWalker) checkCapture(call *ast.CallExpr, g *guards) {
 	var kind string
 	switch {
 	case isNamedPtr(t, "telemetry", "Probe") &&
-		(method == "Due" || method == "Record" || method == "RecordApp"):
+		(method == "Due" || method == "Record"):
 		kind = "probe"
 	case isNamedPtr(t, "telemetry", "Histogram") &&
 		(method == "Observe" || method == "ObserveDuration"):

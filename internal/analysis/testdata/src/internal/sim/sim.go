@@ -41,9 +41,7 @@ func orChain(s *simulation, now float64) {
 		return
 	}
 	s.tel.Record(telemetry.Point{Time: now})
-	for _, id := range []int{1, 2} {
-		s.tel.RecordApp(id, now, 1)
-	}
+	s.tel.Record(telemetry.Point{Time: now + 1})
 }
 
 func ungatedSink(s *simulation) {

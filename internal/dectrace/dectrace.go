@@ -3,9 +3,11 @@
 // the policy actually ran or the engine skipped it under a declared
 // capability (core.SkipReason).
 //
-// Both engines emit the same records — the simulator through
-// sim.Config.DecisionTrace, the TCP daemon through
-// server.Config.DecisionTrace — so one toolchain reads both: a streaming
+// Both engines emit the same records, built in one place: the decision
+// kernel (engine.Kernel.Decide) writes them to the Trace sink of its
+// engine.Observers, which the simulator fills from
+// sim.Config.DecisionTrace and the TCP daemon from
+// server.Config.DecisionTrace. So one toolchain reads both: a streaming
 // JSONL writer for offline analysis (Writer/ReadAll), a fixed-capacity
 // ring for a live daemon's recent history (Ring, served at /dectrace by
 // ioschedd -dectrace), and replay schedulers (ForceFirst, FixedGrants)

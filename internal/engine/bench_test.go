@@ -25,7 +25,7 @@ func (s *transitionSet) Apply(slot int32, bw, now float64) { s.k.Transition(&s.v
 // Kernel.Transition.
 func BenchmarkCandidatesGrant(b *testing.B) {
 	const slots, members = 55, 33
-	k := New(core.MaxSysEff(), nil, false)
+	k := New(core.MaxSysEff(), Observers{}, false)
 	k.Cands.Reserve(slots)
 	set := &transitionSet{k: &k, views: make([]core.AppView, slots)}
 	for i := range set.views {
@@ -61,7 +61,7 @@ func BenchmarkCandidatesGrant(b *testing.B) {
 // O(members), and allocates nothing.
 func BenchmarkDecideSaturating(b *testing.B) {
 	const members = 50_000
-	k := New(core.MaxSysEff(), nil, false)
+	k := New(core.MaxSysEff(), Observers{}, false)
 	k.Cands.Reserve(members)
 	set := &transitionSet{k: &k, views: make([]core.AppView, members)}
 	for i := range set.views {

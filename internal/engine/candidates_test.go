@@ -23,7 +23,7 @@ func TestViewCacheMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(60)
-		k := New(core.MaxSysEff(), nil, false)
+		k := New(core.MaxSysEff(), Observers{}, false)
 		k.Cands.Reserve(n)
 		views := make([]core.AppView, n)
 		for i := range views {

@@ -4,10 +4,12 @@
 // through one Kernel. The kernel owns what is policy soundness: the
 // policy's capabilities, the candidate-set version, the decision memo, the
 // three skip rules and their counters, grant validation, the
-// scheduler-visible view transition and the decision-trace record — and
-// the candidate set itself (Candidates): membership, the ordered view and
+// scheduler-visible view transition, the decision-trace record and the
+// capture of each point's congestion signals (Observe) — and the
+// candidate set itself (Candidates): membership, the ordered view and
 // grant matching. An engine keeps only the side effect of a verdict,
-// behind Set. internal/cluster stays separate: see the verdict in
+// behind Set, and the bandwidth each slot holds, behind Holdings.
+// internal/cluster stays separate: see the verdict in
 // docs/architecture.md.
 package engine
 
@@ -61,8 +63,8 @@ type Kernel struct {
 
 	policy core.Scheduler
 	caps   core.EngineCaps // resolved once per policy
-	trace  dectrace.Sink   // nil disables tracing
-	check  bool            // validate every policy verdict
+	obs    Observers
+	check  bool // validate every policy verdict
 
 	// The memo: version and capacity of the last applied verdict.
 	decided        bool
@@ -72,11 +74,10 @@ type Kernel struct {
 	scr core.Scratch
 }
 
-// New returns a kernel deciding under p. A non-nil trace receives one
-// record per decision point; check panics on a policy verdict that
-// violates the capacity constraints.
-func New(p core.Scheduler, trace dectrace.Sink, check bool) Kernel {
-	return Kernel{policy: p, caps: core.CapsOf(p), trace: trace, check: check}
+// New returns a kernel deciding under p and watched by obs; check panics
+// on a policy verdict that violates the capacity constraints.
+func New(p core.Scheduler, obs Observers, check bool) Kernel {
+	return Kernel{policy: p, caps: core.CapsOf(p), obs: obs, check: check}
 }
 
 // Policy returns the deciding policy.
@@ -175,7 +176,7 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 	// the exact sum rounded once, lands on the same side of the
 	// threshold, so an engine never walks or sorts for a skip.
 	case single || k.caps.Saturating && k.Cands.Demand(cap.NodeBW) <= cap.TotalBW*(1-1e-9):
-		if k.trace != nil {
+		if k.obs.Trace != nil {
 			views := k.Cands.Views()
 			apps = dectrace.CaptureApps(nil, views)
 			for _, v := range views {
@@ -216,16 +217,16 @@ func (k *Kernel) Decide(set Set, now float64, cap core.Capacity, kind string) {
 				panic(fmt.Sprintf("engine: scheduler %s: %v", k.policy.Name(), err))
 			}
 		}
-		if k.trace != nil {
+		if k.obs.Trace != nil {
 			apps, grants = dectrace.CaptureApps(nil, views), dectrace.CaptureGrants(nil, g)
 		}
 		k.Cands.Grant(set, g, now)
 	}
 	k.decided, k.decidedVersion, k.decidedCap = true, ver, cap // a memo skip rewrites itself
-	if k.trace != nil {
+	if k.obs.Trace != nil {
 		// The one place a decision record is built; counters are post-verdict.
-		//iosched:allocfree-allow trace-enabled branch only: the record is built under the trace != nil gate
-		k.trace.Observe(&dectrace.Record{
+		//iosched:allocfree-allow trace-enabled branch only: the record is built under the Trace != nil gate
+		k.obs.Trace.Observe(&dectrace.Record{
 			Seq:         uint64(k.Decisions + k.Skipped),
 			Time:        now,
 			Kind:        kind,

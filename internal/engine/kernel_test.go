@@ -35,7 +35,7 @@ func (f *fakeSet) add(id, nodes int, lastIO float64) *core.AppView {
 var capB10 = core.Capacity{TotalBW: 10, NodeBW: 1}
 
 func newFake(p core.Scheduler, trace dectrace.Sink) (*Kernel, *fakeSet) {
-	k := New(p, trace, true)
+	k := New(p, Observers{Trace: trace}, true)
 	return &k, &fakeSet{k: &k, bw: map[int]float64{}}
 }
 
@@ -206,7 +206,7 @@ func TestSetPolicyAndMemoRoundTrip(t *testing.T) {
 		t.Fatalf("memo after a single-candidate skip: %+v, live %v", cap, live)
 	}
 
-	resumed := New(core.RoundRobin(), nil, true)
+	resumed := New(core.RoundRobin(), Observers{}, true)
 	resumed.Add(0, set.views[0])
 	resumed.Version = k.Version
 	if _, live := resumed.Memo(); live {

@@ -16,7 +16,7 @@ import (
 func (s *Server) WritePrometheus(w io.Writer) error {
 	m := s.Metrics()
 	s.mu.Lock()
-	pt := s.livePointLocked(s.now())
+	pt := s.k.Point((*applier)(s), s.now(), s.capacity(), 0)
 	s.mu.Unlock()
 
 	pw := telemetry.NewPromWriter(w)
@@ -35,8 +35,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	pw.Counter("ioschedd_grant_superseded_total", "Enqueued grants that never reached the wire: replaced by a later verdict or already held by the client.", float64(m.GrantsSuperseded))
 	pw.Counter("ioschedd_forecasts_total", "Advisor forecasts recorded.", float64(m.ForecastsRun))
 	pw.Counter("ioschedd_policy_switches_total", "Runtime policy changes applied.", float64(m.PolicySwitches))
-	if s.health != nil {
-		snap := s.health.Snapshot()
+	if s.cfg.Health != nil {
+		snap := s.cfg.Health.Snapshot()
 		state := 0.0
 		switch snap.State {
 		case "degraded":

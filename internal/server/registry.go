@@ -4,8 +4,8 @@ import "sync"
 
 // The session registry is sharded by app-ID hash so handshakes and
 // disconnects — registry writes — contend only within their shard, and
-// ID lookups from monitoring paths take a shard read lock instead of
-// the allocation-round lock. regShards is a power of two; the
+// the counters read shard by shard instead of under the allocation-round
+// lock. regShards is a power of two; the
 // Fibonacci multiplier spreads both sequential and strided ID spaces
 // evenly across shards.
 const (
@@ -56,14 +56,6 @@ func (r *registry) removeIf(id int, sess *session) bool {
 		return true
 	}
 	return false
-}
-
-// get returns the session registered under id, or nil.
-func (r *registry) get(id int) *session {
-	sh := r.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sessions[id]
 }
 
 // count returns the number of registered sessions.

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// get returns the session registered under id, or nil: the tests' way to
+// reach a session's state.
+func (r *registry) get(id int) *session {
+	sh := r.shard(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.sessions[id]
+}
+
 // TestRegistryBasics covers the single-shard contract: insert, duplicate
 // rejection, conditional removal, lookup and counting.
 func TestRegistryBasics(t *testing.T) {

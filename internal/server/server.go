@@ -28,29 +28,18 @@ type Config struct {
 	Logger *log.Logger
 	// Now overrides the clock (tests); nil uses time.Now.
 	Now func() time.Time
-	// DecisionTrace, when non-nil, receives one dectrace.Record per
-	// decision round, built and observed under the server's state lock —
-	// the sink must be fast, concurrency-safe and must not block (see
-	// docs/tracing.md). Nil keeps the steady round allocation-free.
+	// DecisionTrace, Telemetry and Health watch the allocation rounds:
+	// the decision kernel's engine.Observers, handed over once in New
+	// (see docs/tracing.md and docs/observability.md). They run under
+	// the server's state lock, so a sink must be fast, concurrency-safe
+	// and must not block. The probe also receives the round, grant-push
+	// and decision-to-apply latency histograms. Nil keeps the steady
+	// round allocation-free; so do a bounded probe (MaxPoints > 0) and a
+	// monitor in steady state (TestSteadyRoundTelemetryAllocationFree,
+	// TestSteadyRoundHealthAllocationFree).
 	DecisionTrace dectrace.Sink
-	// Telemetry, when non-nil, collects live time series and latency
-	// histograms: the congestion signals are sampled after every
-	// allocation round (under the probe's MinInterval gate), and the
-	// round, grant-push and decision-to-apply latencies are recorded into
-	// the probe's histograms (see docs/observability.md). Nil keeps the
-	// steady round allocation-free; with a bounded probe (MaxPoints > 0)
-	// the enabled steady round is allocation-free too, pinned by
-	// TestSteadyRoundTelemetryAllocationFree.
-	Telemetry *telemetry.Probe
-	// Health, when non-nil, feeds every allocation round's congestion
-	// signals to the anomaly detectors (see docs/observability.md,
-	// layer 5). Unlike Telemetry the monitor is never sampled: it
-	// observes every round, so the firing sequence matches the
-	// simulator's for equivalent histories
-	// (TestDaemonHealthMatchesSimulator). Nil keeps the steady round
-	// allocation-free; so does an enabled monitor in steady state,
-	// pinned by TestSteadyRoundHealthAllocationFree.
-	Health *health.Monitor
+	Telemetry     *telemetry.Probe
+	Health        *health.Monitor
 }
 
 // Server is the global I/O scheduler daemon. Create with New, start with
@@ -151,7 +140,6 @@ type Server struct {
 	roundHist *telemetry.Histogram // full round: decide + arm + flush
 	pushHist  *telemetry.Histogram // grant enqueue → socket write completed
 	applyHist *telemetry.Histogram // message arrival → grants flushed
-	health    *health.Monitor      // resolved once in New; nil disables
 }
 
 // session is one connected application.
@@ -272,7 +260,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		start: cfg.Now(),
 		conns: make(map[net.Conn]struct{}),
-		k:     engine.New(cfg.Policy, cfg.DecisionTrace, false),
+		k: engine.New(cfg.Policy, engine.Observers{
+			Trace: cfg.DecisionTrace, Telemetry: cfg.Telemetry, Health: cfg.Health,
+		}, false),
 	}
 	s.reg.init()
 	s.clock = func() float64 { return cfg.Now().Sub(s.start).Seconds() }
@@ -282,7 +272,6 @@ func New(cfg Config) (*Server, error) {
 		s.pushHist = s.tel.Histogram("ioschedd_grant_push_delay_seconds")
 		s.applyHist = s.tel.Histogram("ioschedd_decision_apply_seconds")
 	}
-	s.health = cfg.Health
 	return s, nil
 }
 
@@ -448,9 +437,9 @@ func (s *Server) Metrics() Metrics {
 	}
 	healthState := ""
 	var anomalies uint64
-	if s.health != nil {
-		healthState = s.health.State().String()
-		anomalies = s.health.Anomalies()
+	if s.cfg.Health != nil {
+		healthState = s.cfg.Health.State().String()
+		anomalies = s.cfg.Health.Anomalies()
 	}
 	c := s.k.Counters
 	return Metrics{
@@ -797,9 +786,10 @@ type pushGrant struct {
 
 // roundLocked resolves the decision point for the current state through
 // the kernel, arms or disarms the policy's wake timer, flushes the round's
-// push batch to the session outboxes and captures the round. kind names
-// what triggered the round (the client message type, "hello", "leave",
-// "wake" or "policy") for the decision trace. Callers hold s.mu.
+// push batch to the session outboxes and captures the round
+// (Kernel.Observe, after the flush so the capture never delays a push).
+// kind names what triggered the round (the client message type, "hello",
+// "leave", "wake" or "policy") for the decision trace. Callers hold s.mu.
 //
 //iosched:allocfree
 func (s *Server) roundLocked(kind string) {
@@ -808,60 +798,19 @@ func (s *Server) roundLocked(kind string) {
 		t0 = time.Now()
 	}
 	now := s.now()
-	s.k.Decide((*applier)(s), now, core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}, kind)
+	s.k.Decide((*applier)(s), now, s.capacity(), kind)
 	s.armWakeLocked(now)
 	s.flushLocked()
 	if s.tel != nil {
 		s.roundHist.ObserveDuration(time.Since(t0))
 	}
-	s.observeLocked(now)
+	s.k.Observe((*applier)(s), now, s.capacity(), 0)
 }
 
-// observeLocked is the daemon's one capture site: it feeds the round's
-// congestion signals to the attached telemetry probe and health monitor,
-// building the point at most once. The probe samples (its MinInterval
-// gate); the monitor observes every round, so its firing sequence is a
-// deterministic function of the round history. The point comes from the
-// same telemetry.PointBuilder operations over the same ID-ordered walk of
-// the kernel's candidate view as the simulator's capture site, so the two
-// engines agree point for point on equivalent histories
-// (TestDaemonTelemetryMatchesSimulator, TestDaemonHealthMatchesSimulator).
-// Callers hold s.mu.
-//
-//iosched:allocfree
-func (s *Server) observeLocked(now float64) {
-	pr, h := s.tel, s.health
-	if pr != nil && !pr.Due(now) {
-		pr = nil // sampled out at this instant
-	}
-	if pr == nil && h == nil {
-		return
-	}
-	pt := s.livePointLocked(now)
-	if pr != nil {
-		pr.Record(pt)
-		for _, id := range pr.TrackApps {
-			if sess := s.reg.get(id); sess != nil {
-				pr.RecordApp(id, now, 1/sess.view.Ratio(now))
-			}
-		}
-	}
-	if h != nil {
-		h.Observe(pt)
-	}
-}
-
-// livePointLocked builds the current congestion sample. Callers hold
-// s.mu.
-//
-//iosched:allocfree
-func (s *Server) livePointLocked(now float64) telemetry.Point {
-	var b telemetry.PointBuilder
-	slots, views := s.k.Cands.Ordered()
-	for i, v := range views {
-		b.Add(now, v, s.arena[slots[i]].bw, s.cfg.NodeBW)
-	}
-	return b.Finish(now, s.cfg.TotalBW, 0)
+// capacity is what the policy may allocate: the configured B and b. The
+// daemon has no burst buffer, so its points carry level 0.
+func (s *Server) capacity() core.Capacity {
+	return core.Capacity{TotalBW: s.cfg.TotalBW, NodeBW: s.cfg.NodeBW}
 }
 
 // applier is the server's side of a verdict as the decision kernel sees
@@ -873,6 +822,11 @@ type applier Server
 func (a *applier) Apply(slot int32, bw, now float64) {
 	(*Server)(a).applyGrantLocked(a.arena[slot], bw, now)
 }
+
+// Held is the bandwidth a session holds (engine.Holdings).
+//
+//iosched:allocfree
+func (a *applier) Held(slot int32) float64 { return a.arena[slot].bw }
 
 // applyGrantLocked installs one session's bandwidth verdict, keeps the
 // scheduler-visible phase in step (the kernel's transition), and enqueues

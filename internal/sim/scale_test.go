@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
-	"repro/internal/telemetry"
 )
 
 // cohortPopulation is the BenchmarkFig6a100k shape at size n: cohorts of
@@ -70,17 +69,6 @@ func TestRunAllocationsIndependentOfPopulation(t *testing.T) {
 	if largeResume-smallResume > 16 {
 		t.Errorf("allocations per Resume grow with the population: %g at n=1000, %g at n=8000", smallResume, largeResume)
 	}
-
-	// A run that tracks no application never builds the ID index. That a
-	// skip never reads the candidate view is the kernel's to pin
-	// (engine's TestSkipsNeverReadTheView).
-	s := newSimulation(cohortPopulation(8000))
-	if _, err := s.run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.byID != nil {
-		t.Error("skip-only run built the ID index")
-	}
 }
 
 // TestLazyLookupResolvesIDs runs a congested mix — the policy is invoked
@@ -88,8 +76,7 @@ func TestRunAllocationsIndependentOfPopulation(t *testing.T) {
 // (ID = index) and once with sparse ones under an order-preserving
 // relabelling, which leaves every ID tie-break as it was. Grants landing
 // on the right application make the two runs agree position by position;
-// an index mistaken for an ID, or a stale lookup, does not. The second run
-// also tracks one present and one absent application.
+// an index mistaken for an ID, or a stale lookup, does not.
 func TestLazyLookupResolvesIDs(t *testing.T) {
 	p := testPlatform()
 	sparse := func(i int) int { return 100 + 7*i }
@@ -109,9 +96,8 @@ func TestLazyLookupResolvesIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := &telemetry.Probe{TrackApps: []int{sparse(2), 424242}}
 		got, err := Run(Config{Platform: p, Scheduler: sched, CheckGrants: true,
-			Apps: mix(sparse), Telemetry: probe})
+			Apps: mix(sparse)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,10 +115,6 @@ func TestLazyLookupResolvesIDs(t *testing.T) {
 				t.Errorf("%s: app %d = {ID %d, finish %g, io %g}, dense run {ID %d, finish %g, io %g}",
 					sched.Name(), i, a.ID, a.Finish, a.IOTime, d.ID, d.Finish, d.IOTime)
 			}
-		}
-		series := got.Telemetry.AppStretch
-		if len(series) != 1 || len(series[sparse(2)]) == 0 {
-			t.Errorf("%s: tracked series %v, want exactly app %d", sched.Name(), series, sparse(2))
 		}
 	}
 }

@@ -67,26 +67,17 @@ type Config struct {
 	// bandwidth over time for visualization (report.RenderGantt).
 	Trace *Trace
 
-	// DecisionTrace, when non-nil, receives one dectrace.Record per
-	// decision point — scheduler invocations and capability skips alike
-	// (see docs/tracing.md). Nil leaves the hot path untouched.
+	// DecisionTrace, Telemetry and Health watch the decision points: the
+	// decision kernel's engine.Observers, handed over once at
+	// construction (see docs/tracing.md and docs/observability.md). The
+	// trace sink receives one dectrace.Record per decision point, the
+	// probe samples each point's congestion signals under its MinInterval
+	// gate, and the monitor sees every point, never sampled. The probe's
+	// snapshot lands in Result.Telemetry, the monitor's verdict in
+	// Result.Health. Nil leaves the hot path untouched.
 	DecisionTrace dectrace.Sink
-
-	// Telemetry, when non-nil, samples the congestion signals (PFS
-	// utilization, backlog, candidate count, burst-buffer level, Jain
-	// fairness, running stretch) at every event boundary that passes the
-	// probe's MinInterval gate; the snapshot lands in Result.Telemetry
-	// (see docs/observability.md). Nil leaves the hot path untouched.
-	Telemetry *telemetry.Probe
-
-	// Health, when non-nil, feeds every decision point's congestion
-	// signals to the anomaly detectors; the verdict snapshot lands in
-	// Result.Health and firing counts in Result.Anomalies (see
-	// docs/observability.md, layer 5). Unlike Telemetry, health observes
-	// every decision point — never sampled — so the firing sequence is a
-	// deterministic function of the workload. Nil leaves the hot path
-	// untouched.
-	Health *health.Monitor
+	Telemetry     *telemetry.Probe
+	Health        *health.Monitor
 }
 
 // Result is the outcome of a run.
@@ -198,13 +189,10 @@ type simulation struct {
 	p   *platform.Platform
 	// apps is a flat arena, one slot per application in config order
 	// (dense app index). It is sized once and never reallocated; every
-	// other structure — kernel timers, the membership sets, the due list,
-	// byID — refers to an application by that index: it is the app's slot
-	// in the kernel's candidate set too.
+	// other structure — kernel timers, the membership sets, the due list —
+	// refers to an application by that index: it is the app's slot in the
+	// kernel's candidate set too.
 	apps []appState
-	// byID maps application IDs to dense indices. Only lookup reads it,
-	// for tracked applications, and builds it on first use.
-	byID map[int]int32
 
 	eng des.Engine // deadline timers (release / compute end / request ready)
 
@@ -267,7 +255,9 @@ type simulation struct {
 func newArena(cfg Config) *simulation {
 	n := len(cfg.Apps)
 	s := &simulation{cfg: cfg, p: cfg.Platform,
-		k: engine.New(cfg.Scheduler, cfg.DecisionTrace, cfg.CheckGrants)}
+		k: engine.New(cfg.Scheduler, engine.Observers{
+			Trace: cfg.DecisionTrace, Telemetry: cfg.Telemetry, Health: cfg.Health,
+		}, cfg.CheckGrants)}
 	s.set = s
 	s.apps = make([]appState, n)
 	s.k.Cands.Reserve(n)
@@ -321,22 +311,6 @@ func newSimulation(cfg Config) *simulation {
 // fired joins the current instant's firing list.
 func (s *simulation) timerFired(i int32) { s.due = append(s.due, i) }
 
-// lookup resolves a tracked application's ID (Telemetry.TrackApps) to its
-// state, nil when the run has no such application. The index is built on
-// first use: a run that tracks no application never pays for it.
-func (s *simulation) lookup(id int) *appState {
-	if s.byID == nil {
-		s.byID = make(map[int]int32, len(s.apps))
-		for i := range s.apps {
-			s.byID[s.apps[i].app.ID] = int32(i)
-		}
-	}
-	if i, ok := s.byID[id]; ok {
-		return &s.apps[i]
-	}
-	return nil
-}
-
 // DefaultMaxTime returns the time horizon a run of cfg aborts at when
 // Config.MaxTime is zero: even full serialization of all I/O cannot
 // exceed the summed dedicated times plus request latencies, scaled
@@ -375,51 +349,6 @@ func (s *simulation) run() (*Result, error) {
 		return nil, err
 	}
 	return s.collect(), nil
-}
-
-// observe is the simulator's one capture site: right after the kernel
-// resolved a decision point (decide is its only caller, so no entry point
-// can skip it) it feeds the point's congestion signals to the attached
-// telemetry probe and health monitor, building the point at most once.
-// The probe samples (its MinInterval gate); the monitor sees every
-// decision point, so its firing sequence depends only on workload and
-// policy. The candidate walk follows the kernel's ID-ordered view, the
-// order the daemon's capture site walks too, which is what makes the two
-// engines' series and firing sequences bit-comparable
-// (TestDaemonTelemetryMatchesSimulator, TestDaemonHealthMatchesSimulator).
-// Nil-gated: a run with neither attached pays only the comparisons.
-func (s *simulation) observe() {
-	pr, h := s.cfg.Telemetry, s.cfg.Health
-	if pr != nil && !pr.Due(s.now) {
-		pr = nil // sampled out at this instant
-	}
-	if pr == nil && h == nil {
-		return
-	}
-	cap := s.capacity()
-	var b telemetry.PointBuilder
-	slots, views := s.k.Cands.Ordered()
-	for i, v := range views {
-		b.Add(s.now, v, s.apps[slots[i]].bw, cap.NodeBW)
-	}
-	lvl := 0.0
-	if s.buffer != nil {
-		lvl = s.buffer.Level()
-	}
-	pt := b.Finish(s.now, cap.TotalBW, lvl)
-	if pr != nil {
-		pr.Record(pt)
-		for _, id := range pr.TrackApps {
-			st := s.lookup(id)
-			if st == nil || st.phase == notReleased || st.phase == finished {
-				continue
-			}
-			pr.RecordApp(id, s.now, 1/st.view.Ratio(s.now))
-		}
-	}
-	if h != nil {
-		h.Observe(pt)
-	}
 }
 
 // loop processes events until the workload finishes or the next event
@@ -776,11 +705,21 @@ func (s *simulation) capacity() core.Capacity {
 }
 
 // decide resolves the decision point at the current instant through the
-// kernel, then captures it: the two always go together.
+// kernel, then captures it with the capacity and burst-buffer level the
+// verdict left: the two always go together, so no entry point skips the
+// capture.
 func (s *simulation) decide() {
 	s.k.Decide(s.set, s.now, s.capacity(), kindStrings[s.firedKinds])
-	s.observe()
+	lvl := 0.0
+	if s.buffer != nil {
+		lvl = s.buffer.Level()
+	}
+	s.k.Observe(s, s.now, s.capacity(), lvl)
 }
+
+// Held is the bandwidth an application holds (engine.Holdings; the slot
+// is the app index).
+func (s *simulation) Held(slot int32) float64 { return s.apps[slot].bw }
 
 // Apply is the simulation's side of a verdict (engine.Set; the slot is
 // the app index): it installs one application's new bandwidth and keeps

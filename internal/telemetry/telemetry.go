@@ -112,12 +112,6 @@ func (b *PointBuilder) Finish(now, totalBW, bbLevel float64) Point {
 	return pt
 }
 
-// Sample is one observation of a per-application series.
-type Sample struct {
-	T float64 `json:"t"`
-	V float64 `json:"v"`
-}
-
 // Probe collects telemetry for one engine. The zero value is ready to
 // use; configure the exported fields before attaching it (they must not
 // change afterwards). A nil *Probe means telemetry is disabled — every
@@ -138,17 +132,12 @@ type Probe struct {
 	// allocations). Zero keeps every point (simulation runs).
 	MaxPoints int
 
-	// TrackApps lists application IDs whose running stretch is recorded
-	// as a per-app series alongside the aggregate Max/MeanStretch.
-	TrackApps []int
-
 	mu      sync.Mutex
 	pts     []Point
 	head    int // ring start, meaningful once wrapped
 	wrapped bool
 	lastT   float64
 	hasLast bool
-	apps    map[int][]Sample
 
 	histMu sync.Mutex
 	hists  []namedHist // creation-ordered; names unique
@@ -197,20 +186,6 @@ func (p *Probe) Record(pt Point) {
 	} else {
 		p.pts = append(p.pts, pt)
 	}
-	p.mu.Unlock()
-}
-
-// RecordApp appends one observation of a tracked application's running
-// stretch series.
-//
-//iosched:allocfree
-func (p *Probe) RecordApp(id int, t, stretch float64) {
-	p.mu.Lock()
-	if p.apps == nil {
-		//iosched:allocfree-allow first-use map for the tracked-app stretch series
-		p.apps = make(map[int][]Sample)
-	}
-	p.apps[id] = append(p.apps[id], Sample{T: t, V: stretch})
 	p.mu.Unlock()
 }
 
@@ -265,8 +240,8 @@ func (p *Probe) Last() (pt Point, ok bool) {
 }
 
 // Snapshot copies the captured series and histograms into a Telemetry
-// without stopping the engine: point and per-app copies happen under the
-// probe lock (engines hold it only for the duration of one append), and
+// without stopping the engine: the point copy happens under the probe
+// lock (engines hold it only for the duration of one append), and
 // histogram snapshots are lock-free atomic reads.
 func (p *Probe) Snapshot() *Telemetry {
 	t := &Telemetry{}
@@ -277,12 +252,6 @@ func (p *Probe) Snapshot() *Telemetry {
 		t.Points = append(t.Points, p.pts[:p.head]...)
 	} else {
 		t.Points = append(t.Points, p.pts...)
-	}
-	if len(p.apps) > 0 {
-		t.AppStretch = make(map[int][]Sample, len(p.apps))
-		for id, s := range p.apps {
-			t.AppStretch[id] = append([]Sample(nil), s...)
-		}
 	}
 	p.mu.Unlock()
 
@@ -299,11 +268,9 @@ func (p *Probe) Snapshot() *Telemetry {
 }
 
 // Telemetry is an immutable snapshot of a probe: the captured points in
-// time order, the tracked per-app stretch series, and the histogram
-// states. It is the optional Telemetry field of sim.Result and the
-// payload of telemetry dumps.
+// time order and the histogram states. It is the optional Telemetry
+// field of sim.Result and the payload of telemetry dumps.
 type Telemetry struct {
 	Points     []Point                      `json:"points"`
-	AppStretch map[int][]Sample             `json:"app_stretch,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
