@@ -1,7 +1,7 @@
 // Command ioschedvet machine-enforces the engine invariants that
 // docs/architecture.md and docs/performance.md state in prose. It runs
-// the internal/analysis suite — determinism, lockorder, nilgate,
-// engineversion — in two interchangeable ways:
+// the internal/analysis suite — determinism, lockorder, nilgate — in two
+// interchangeable ways:
 //
 //	ioschedvet ./...                      # standalone multichecker
 //	go vet -vettool=$(which ioschedvet) ./...   # unitchecker protocol
@@ -44,7 +44,6 @@ func main() {
 
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	allocfree := flag.Bool("allocfree", false, "run the //iosched:allocfree escape-analysis gate instead of the AST analyzers")
-	showFingerprint := flag.Bool("fingerprint", false, "print the campaign schema fingerprint the engineversion analyzer expects, then exit")
 	version := flag.Bool("version", false, "print build metadata and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ioschedvet [-json] [-allocfree] [packages]\n\nAnalyzers:\n")
@@ -83,11 +82,6 @@ func main() {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fatal("%v", err)
-	}
-
-	if *showFingerprint {
-		printFingerprint(cwd, args)
-		return
 	}
 
 	var diags []analysis.Diagnostic
@@ -164,28 +158,6 @@ func report(diags []analysis.Diagnostic, jsonOut bool) {
 		fmt.Fprintf(os.Stderr, "ioschedvet: %d unsuppressed diagnostic(s)\n", unsuppressed)
 		os.Exit(1)
 	}
-}
-
-// printFingerprint loads internal/campaign and prints the schema
-// fingerprint the engineversion analyzer pins, for refreshing the
-// //iosched:engineversion directive after a deliberate schema change.
-func printFingerprint(cwd string, patterns []string) {
-	pkgs, err := analysis.Load(cwd, patterns...)
-	if err != nil {
-		fatal("%v", err)
-	}
-	for _, pkg := range pkgs {
-		if !analysis.PathInScope(pkg.ImportPath, "internal/campaign") {
-			continue
-		}
-		hash, missing := analysis.SchemaFingerprint(pkg.Types, pkg.Module, []string{"CellResult", "fingerprint"})
-		for _, m := range missing {
-			fmt.Fprintf(os.Stderr, "ioschedvet: %s: schema root %q not found\n", pkg.ImportPath, m)
-		}
-		fmt.Printf("%s %s\n", pkg.ImportPath, hash)
-		return
-	}
-	fatal("no internal/campaign package in %v", patterns)
 }
 
 func fatal(format string, args ...any) {

@@ -2,8 +2,7 @@
 // invariants that docs/architecture.md and docs/performance.md state in
 // prose: deterministic iteration and FP operation order in the decision
 // paths, the daemon's mu → shard lock order, nil-gated probe capture
-// ("disabled = zero cost"), allocation-free steady rounds and the
-// campaign engineVersion bump rule.
+// ("disabled = zero cost") and allocation-free steady rounds.
 //
 // The package mirrors the golang.org/x/tools/go/analysis shape —
 // Analyzer, Pass, Diagnostic — on the standard library alone, so the
@@ -195,7 +194,6 @@ func Analyzers() []*Analyzer {
 		Determinism,
 		LockOrder,
 		NilGate,
-		EngineVersion,
 	}
 }
 

@@ -23,13 +23,9 @@ import (
 // and matches the unsuppressed diagnostics against the expectations —
 // both directions: every want must be hit, every diagnostic wanted.
 
-func TestDeterminismFixture(t *testing.T)   { checkFixture(t, "internal/des") }
-func TestNilGateFixture(t *testing.T)       { checkFixture(t, "internal/sim") }
-func TestLockOrderFixture(t *testing.T)     { checkFixture(t, "internal/server") }
-func TestEngineVersionFixture(t *testing.T) { checkFixture(t, "internal/campaign") }
-func TestEngineVersionStaleFixture(t *testing.T) {
-	checkFixture(t, "internal/campaign/stale")
-}
+func TestDeterminismFixture(t *testing.T) { checkFixture(t, "internal/des") }
+func TestNilGateFixture(t *testing.T)     { checkFixture(t, "internal/sim") }
+func TestLockOrderFixture(t *testing.T)   { checkFixture(t, "internal/server") }
 
 func checkFixture(t *testing.T, importPath string) {
 	t.Helper()

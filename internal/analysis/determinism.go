@@ -30,10 +30,10 @@ var randConstructors = map[string]bool{
 // Determinism forbids, in the engine decision paths: iteration over
 // maps (whose order Go randomizes per run), wall-clock reads
 // (time.Now/time.Since — engine time must come from the event clock),
-// the unseeded global math/rand source, and closure-based
-// sort.Slice/sort.SliceStable in hot paths (internal/xsort.Stable is
-// the allocation-free, bit-transparent replacement; the xsort package
-// itself is the one permitted delegation point).
+// the unseeded global math/rand source, and reflection-based
+// sort.Slice/sort.SliceStable in hot paths (slices.SortStableFunc is the
+// allocation-free replacement; a stable sort's output is unique, so it
+// is bit-transparent with sort.SliceStable).
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid map-order, wall-clock and unseeded-rand nondeterminism in engine decision paths",
@@ -59,7 +59,7 @@ func runDeterminism(pass *Pass) {
 				}
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					pass.Reportf(n.X.Pos(),
-						"range over map %s: iteration order is randomized per run and must not feed engine state or output; walk a sorted copy (internal/xsort) or suppress with a justification",
+						"range over map %s: iteration order is randomized per run and must not feed engine state or output; walk a sorted copy (slices.Sorted(maps.Keys(m))) or suppress with a justification",
 						types.ExprString(n.X))
 				}
 			case *ast.SelectorExpr:
@@ -89,7 +89,7 @@ func runDeterminism(pass *Pass) {
 				case "sort":
 					if obj.Name() == "Slice" || obj.Name() == "SliceStable" {
 						pass.Reportf(n.Pos(),
-							"sort.%s in a hot path: use internal/xsort.Stable (allocation-free, bit-transparent with sort.SliceStable)",
+							"sort.%s in a hot path: use slices.SortStableFunc (allocation-free, bit-transparent with sort.SliceStable)",
 							obj.Name())
 					}
 				}

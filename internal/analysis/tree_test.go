@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,52 @@ func TestTreeAllocFree(t *testing.T) {
 		if !d.Suppressed {
 			t.Errorf("%s", d)
 		}
+	}
+}
+
+// fmaExempt are determinismScope packages whose float results no golden,
+// bench digest or campaign cache entry pins (docs/static-analysis.md):
+// periodic scores its patterns analytically for the ablation figure.
+// internal/cluster is outside determinismScope and exempt for the same
+// reason: its consumers compare against thresholds with slack.
+var fmaExempt = map[string]bool{"internal/periodic": true}
+
+// fmaScope is every package whose float results the goldens, the bench
+// digests and the campaign fingerprint pin.
+func fmaScope() []string {
+	pkgs := []string{
+		"./internal/metrics", "./internal/telemetry", "./internal/health",
+		"./internal/workload", "./internal/dectrace", "./internal/twin",
+	}
+	for _, p := range determinismScope {
+		if !fmaExempt[p] {
+			pkgs = append(pkgs, "./"+p)
+		}
+	}
+	return pkgs
+}
+
+var fusedRe = regexp.MustCompile(`\(([^()]+\.go:\d+)\)\s+(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
+
+// TestTreeFMAFree compiles the bit-identity packages for arm64, where
+// the Go spec lets the compiler fuse x*y + z into one rounding, and fails
+// on every fused multiply-add it emits. amd64 never fuses, so without
+// this gate an arm64 host would compute different goldens, digests and
+// campaign fingerprints from the same source. An explicit float64(...)
+// conversion of the product forbids the fusion and is free on amd64.
+func TestTreeFMAFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles eleven packages for arm64; skipped in -short")
+	}
+	build := exec.Command("go", append([]string{"build", "-gcflags=-S"}, fmaScope()...)...)
+	build.Dir = repoRoot(t)
+	build.Env = append(os.Environ(), "GOARCH=arm64")
+	out, err := build.CombinedOutput()
+	if err != nil {
+		t.Fatalf("arm64 build: %v\n%s", err, out)
+	}
+	for _, m := range fusedRe.FindAllStringSubmatch(string(out), -1) {
+		t.Errorf("%s: %s fuses a multiply and an add on arm64; convert the product with float64(...)", m[1], m[2])
 	}
 }
 

@@ -97,7 +97,7 @@ func (m *Model) Advance(dt, inflow float64) {
 	if m.Full() {
 		m.fullTime += dt
 	}
-	m.level += m.NetRate(inflow) * dt
+	m.level += float64(m.NetRate(inflow) * dt)
 	if m.level < 0 {
 		m.level = 0
 	}

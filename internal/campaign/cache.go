@@ -57,7 +57,7 @@ type CellResult struct {
 
 // Cache is a content-addressed on-disk result store. Entries live at
 // <dir>/objects/<key[:2]>/<key>.json; the key is the cell's content hash,
-// so a changed platform, scheduler, workload, seed or engine version is a
+// so a changed platform, scheduler, workload, seed or engine behaviour is a
 // different entry and a re-run of an unchanged cell is a hit. A nil
 // *Cache is valid and never hits.
 type Cache struct {

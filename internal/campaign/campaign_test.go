@@ -160,28 +160,20 @@ func TestCellKeySensitivity(t *testing.T) {
 		t.Error("workload label participates in the content hash")
 	}
 
-	// The engine version participates in every key: bumping it (as the
-	// iosched-sim/7 health change did) must invalidate every cached
-	// cell, and the current tag must be the v7 one this tree's CellResult
-	// schema requires.
-	if engineVersion != "iosched-sim/7" {
-		t.Errorf("engineVersion = %q, want iosched-sim/7 (anomaly fields in CellResult)", engineVersion)
-	}
-	p, err := base.Platforms[0].resolve()
+	// The behaviour fingerprint participates in every key: each cell's
+	// key is its content hashed under the fingerprint, and any other
+	// engine value gives a different key.
+	engine, err := engineFingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcfg, err := base.Workloads[0].config(p.WithoutBB(), base.Seeds.Start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := cellKeyForEngine(engineVersion, p.WithoutBB(), base.Schedulers[0], wcfg, base.Seeds.Start, base.Sim)
-	old := cellKeyForEngine("iosched-sim/3", p.WithoutBB(), base.Schedulers[0], wcfg, base.Seeds.Start, base.Sim)
-	if cur == old {
-		t.Error("engine version does not participate in the cell key")
-	}
-	if cur != baseCells[0].Key {
-		t.Error("cellKeyForEngine(engineVersion, ...) disagrees with Expand's key")
+	for _, c := range baseCells {
+		if got := cellKey(engine, c.plat, c.Scheduler, c.wcfg, c.Seed, base.Sim); got != c.Key {
+			t.Errorf("%s: key is not its content under the fingerprint", c.Name())
+		}
+		if cellKey("other-engine", c.plat, c.Scheduler, c.wcfg, c.Seed, base.Sim) == c.Key {
+			t.Errorf("%s: the fingerprint does not participate in the key", c.Name())
+		}
 	}
 }
 
@@ -302,8 +294,7 @@ func TestRunnerCachesCells(t *testing.T) {
 	}
 }
 
-// TestCellResultRecordsBBStats pins the iosched-sim/4 schema change: a
-// burst-buffer cell's CellResult must carry the pressure statistics the
+// TestCellResultRecordsBBStats: a burst-buffer cell's CellResult must carry the pressure statistics the
 // simulator reports, and they must survive the cache round trip.
 func TestCellResultRecordsBBStats(t *testing.T) {
 	spec := testSpec()
@@ -350,8 +341,7 @@ func TestCellResultRecordsBBStats(t *testing.T) {
 	}
 }
 
-// TestCellResultRecordsSkipBreakdown pins the iosched-sim/5 schema
-// change: every cell's per-reason skip counters must sum to Skipped and
+// TestCellResultRecordsSkipBreakdown: every cell's per-reason skip counters must sum to Skipped and
 // survive the cache round trip.
 func TestCellResultRecordsSkipBreakdown(t *testing.T) {
 	spec := testSpec()
@@ -581,8 +571,7 @@ func TestInterruptedRunLeavesResumableState(t *testing.T) {
 	}
 }
 
-// TestCellResultRecordsTelemetry pins the iosched-sim/6 schema change: a
-// telemetry-enabled spec produces a windowed congestion summary on every
+// TestCellResultRecordsTelemetry: a telemetry-enabled spec produces a windowed congestion summary on every
 // cell, with internally consistent values, and the summary survives the
 // cache round trip byte for byte.
 func TestCellResultRecordsTelemetry(t *testing.T) {
@@ -655,8 +644,7 @@ func TestCellResultRecordsTelemetry(t *testing.T) {
 	}
 }
 
-// TestCellResultRecordsAnomalies pins the iosched-sim/7 schema change: a
-// health-enabled spec records each cell's anomaly count and final health
+// TestCellResultRecordsAnomalies: a health-enabled spec records each cell's anomaly count and final health
 // state, the fields survive the cache round trip unchanged, enabling
 // health changes every cell key (cache invalidation), and health off
 // records nothing.

@@ -10,40 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// engineVersion participates in every cell hash. Bump it whenever the
-// simulator or the workload generator changes semantics — or the
-// CellResult schema grows fields older entries cannot supply — so stale
-// cache entries are never reused. v2: the event-kernel engine reports
-// skipped decision points separately, so Decisions counts actual
-// scheduler invocations. v3: applying a decision that changes discrete
-// view state (a first grant flipping Started, a preemption) now
-// invalidates the decision memo, so Priority-* grants re-sort where v2
-// wrongly reused them and the Decisions/Skipped split shifted; per-app
-// metrics match the pre-refactor engine (v1) everywhere, which v2 did
-// not guarantee for Priority heuristics. v4: CellResult records the
-// burst-buffer statistics (BBPeakLevel, BBFullTime) that sim.Result
-// always produced but the sweep layer dropped; v3 entries would replay
-// burst-buffer cells with silently zero pressure stats. v5: CellResult
-// carries the per-reason skip breakdown (SkippedMemo, SkippedSaturating,
-// SkippedSingleFullGrant) recorded by the decision-trace layer; v4
-// entries would replay with the breakdown silently zero. v6: SimOptions
-// grew TelemetrySampleS and CellResult the windowed telemetry summary it
-// enables; v5 entries for a telemetry-enabled spec would replay with the
-// summary silently absent. v7: SimOptions grew Health and CellResult the
-// anomaly count and final health state it enables; v6 entries for a
-// health-enabled spec would replay with the anomaly fields silently
-// absent.
-//
-// The directive below pins the CellResult / cell-hash schema; the
-// engineversion analyzer recomputes the fingerprint on every run, so a
-// schema edit fails `go vet` until the directive is refreshed (print the
-// new hash with `go run ./cmd/ioschedvet -fingerprint`) — which is
-// exactly the moment to decide whether the change needs a version bump
-// per the rules above.
-//
-//iosched:engineversion 15c3b7b39978 engine=iosched-sim/7
-const engineVersion = "iosched-sim/7"
-
 // Cell is one point of the campaign grid: a fully resolved simulation to
 // run.
 type Cell struct {
@@ -71,10 +37,10 @@ func (c Cell) Name() string {
 	return fmt.Sprintf("%s/%s/seed%d/%s", c.Platform, c.Workload, c.Seed, c.Scheduler)
 }
 
-// fingerprint is the canonical content of a cell hash. Field order and
-// types are part of the cache format; changing them invalidates caches
-// (as it must).
-type fingerprint struct {
+// cellContent is the canonical content of a cell hash. Engine is the
+// behaviour fingerprint (engineFingerprint), so a change to what the
+// simulator computes, or to this layout, changes every key.
+type cellContent struct {
 	Engine    string        `json:"engine"`
 	Platform  fpPlatform    `json:"platform"`
 	Scheduler string        `json:"scheduler"`
@@ -115,17 +81,10 @@ type fpWorkload struct {
 	Fill          float64 `json:"fill"`
 }
 
-// cellKey hashes the resolved cell content under the current engine
-// version.
-func cellKey(p *platform.Platform, scheduler string, wcfg workload.Config, seed int64, sim SimOptions) string {
-	return cellKeyForEngine(engineVersion, p, scheduler, wcfg, seed, sim)
-}
-
-// cellKeyForEngine hashes the resolved cell content for a given engine
-// tag; the split exists so the cache-invalidation test can prove the
-// engine version participates in the hash.
-func cellKeyForEngine(engine string, p *platform.Platform, scheduler string, wcfg workload.Config, seed int64, sim SimOptions) string {
-	fp := fingerprint{
+// cellKey hashes the resolved cell content under the given engine
+// fingerprint.
+func cellKey(engine string, p *platform.Platform, scheduler string, wcfg workload.Config, seed int64, sim SimOptions) string {
+	fp := cellContent{
 		Engine:    engine,
 		Platform:  fpPlatform{Nodes: p.Nodes, NodeBW: p.NodeBW, TotalBW: p.TotalBW},
 		Scheduler: scheduler,
@@ -153,18 +112,36 @@ func cellKeyForEngine(engine string, p *platform.Platform, scheduler string, wcf
 	}
 	b, err := json.Marshal(fp)
 	if err != nil {
-		// fingerprint contains only marshalable scalar fields.
-		panic(fmt.Sprintf("campaign: fingerprint: %v", err))
+		// cellContent contains only marshalable scalar fields.
+		panic(fmt.Sprintf("campaign: cell content: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// Expand resolves the spec into its deterministic cell grid. Cells
-// sharing a (platform, workload, seed) shard are adjacent and carry the
-// same shard number, so the executor can generate each workload once and
-// run every scheduler on it.
+// Expand resolves the spec into its deterministic cell grid, each cell
+// keyed under the behaviour fingerprint. Cells sharing a (platform,
+// workload, seed) shard are adjacent and carry the same shard number, so
+// the executor can generate each workload once and run every scheduler
+// on it.
 func (s *Spec) Expand() ([]Cell, error) {
+	engine, err := engineFingerprint()
+	if err != nil {
+		return nil, err
+	}
+	cells, err := s.cells()
+	if err != nil {
+		return nil, err
+	}
+	for i := range cells {
+		c := &cells[i]
+		c.Key = cellKey(engine, c.plat, c.Scheduler, c.wcfg, c.Seed, s.Sim)
+	}
+	return cells, nil
+}
+
+// cells is Expand without the keys.
+func (s *Spec) cells() ([]Cell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,7 +160,7 @@ func (s *Spec) Expand() ([]Cell, error) {
 
 	cells := make([]Cell, 0, len(plats)*len(s.Workloads)*len(seeds)*len(s.Schedulers))
 	shard := 0
-	for pi, p := range plats {
+	for _, p := range plats {
 		for _, w := range s.Workloads {
 			for _, seed := range seeds {
 				wcfg, err := w.config(p, seed)
@@ -197,7 +174,6 @@ func (s *Spec) Expand() ([]Cell, error) {
 						Scheduler: sched,
 						Workload:  w.Name,
 						Seed:      seed,
-						Key:       cellKey(plats[pi], sched, wcfg, seed, s.Sim),
 						plat:      p,
 						wcfg:      wcfg,
 						shard:     shard,

@@ -41,16 +41,6 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// shard is the executor's unit of work: the cells that share one
-// generated workload (same platform, workload spec and seed, schedulers
-// varying). Generating the application mix once per shard amortizes
-// workload construction and keeps every scheduler measured on the
-// identical mix; the simulator never mutates the mix, so sequential
-// reuse within the shard is safe.
-type shard struct {
-	cells []*Cell
-}
-
 // Run executes the campaign and returns its results and statistics.
 func (r *Runner) Run() (*Results, *RunStats, error) {
 	cells, err := r.Spec.Expand()
@@ -63,8 +53,7 @@ func (r *Runner) Run() (*Results, *RunStats, error) {
 
 	// Probe the cache serially (cheap reads) so hit logging is ordered
 	// and the executor only sees real work.
-	shards := make(map[int]*shard)
-	var shardOrder []int
+	var missed []*Cell
 	for i := range cells {
 		c := &cells[i]
 		cached, hit, err := r.Cache.Get(c.Key)
@@ -77,15 +66,10 @@ func (r *Runner) Run() (*Results, *RunStats, error) {
 			r.logf("cache hit  %s", c.Name())
 			continue
 		}
-		sh := shards[c.shard]
-		if sh == nil {
-			sh = &shard{}
-			shards[c.shard] = sh
-			shardOrder = append(shardOrder, c.shard)
-		}
-		sh.cells = append(sh.cells, c)
+		missed = append(missed, c)
 	}
-	stats.Shards = len(shardOrder)
+	shards := byShard(missed)
+	stats.Shards = len(shards)
 
 	// Record the campaign as started before simulating, so an
 	// interrupted run is resumable and list/resume report real progress.
@@ -98,35 +82,22 @@ func (r *Runner) Run() (*Results, *RunStats, error) {
 
 	// Fan the shards out; completions stream back serialized, so cache
 	// writes and log lines never interleave.
-	err = parallel.Stream(len(shardOrder), r.Workers,
+	err = parallel.Stream(len(shards), r.Workers,
 		func(i int) ([]*CellResult, error) {
-			sh := shards[shardOrder[i]]
-			apps, err := workload.Generate(sh.cells[0].wcfg)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: %s: %w", sh.cells[0].Name(), err)
-			}
-			out := make([]*CellResult, 0, len(sh.cells))
-			for _, c := range sh.cells {
-				res, err := r.runCell(c, apps)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, res)
-			}
-			return out, nil
+			return runShard(shards[i], r.Spec.Sim, core.ByName)
 		},
 		func(i int, out []*CellResult, err error) error {
 			if err != nil {
 				return err
 			}
-			sh := shards[shardOrder[i]]
 			for j, res := range out {
 				if err := r.Cache.Put(res); err != nil {
 					return err
 				}
-				results[sh.cells[j].Index] = res
+				c := shards[i][j]
+				results[c.Index] = res
 				stats.Simulated++
-				r.logf("simulated  %s", sh.cells[j].Name())
+				r.logf("simulated  %s", c.Name())
 			}
 			return nil
 		})
@@ -156,32 +127,68 @@ func (r *Runner) Run() (*Results, *RunStats, error) {
 	return out, stats, nil
 }
 
-// runCell simulates one cell on a pre-generated application mix.
-func (r *Runner) runCell(c *Cell, apps []*platform.App) (*CellResult, error) {
-	sched, err := core.ByName(c.Scheduler)
-	if err != nil {
-		return nil, err
+// byShard splits cells, in expansion order, into the executor's units of
+// work: runs of cells that share one generated workload (same platform,
+// workload spec and seed, schedulers varying).
+func byShard(cells []*Cell) [][]*Cell {
+	var out [][]*Cell
+	for i, c := range cells {
+		if i == 0 || c.shard != cells[i-1].shard {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], c)
 	}
+	return out
+}
+
+// runShard simulates one shard under opts, resolving each cell's
+// scheduler through byName. Generating the application mix once per
+// shard amortizes workload construction and keeps every scheduler
+// measured on the identical mix; the simulator never mutates the mix, so
+// sequential reuse within the shard is safe. It needs no Runner and no
+// cache: each result carries its cell's Key, empty or not.
+func runShard(cells []*Cell, opts SimOptions, byName func(string) (core.Scheduler, error)) ([]*CellResult, error) {
+	apps, err := workload.Generate(cells[0].wcfg)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", cells[0].Name(), err)
+	}
+	out := make([]*CellResult, 0, len(cells))
+	for _, c := range cells {
+		sched, err := byName(c.Scheduler)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runCell(c, sched, apps, opts)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %s: %w", c.Name(), err)
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// runCell simulates one cell on a pre-generated application mix.
+func runCell(c *Cell, sched core.Scheduler, apps []*platform.App, opts SimOptions) (*CellResult, error) {
 	var probe *telemetry.Probe
-	if r.Spec.Sim.TelemetrySampleS > 0 {
-		probe = &telemetry.Probe{MinInterval: r.Spec.Sim.TelemetrySampleS}
+	if opts.TelemetrySampleS > 0 {
+		probe = &telemetry.Probe{MinInterval: opts.TelemetrySampleS}
 	}
 	var mon *health.Monitor
-	if r.Spec.Sim.Health {
+	if opts.Health {
 		mon = health.New(health.Config{})
 	}
 	res, err := sim.Run(sim.Config{
 		Platform:       c.plat,
 		Scheduler:      sched,
 		Apps:           apps,
-		UseBB:          r.Spec.Sim.UseBB,
-		RequestLatency: r.Spec.Sim.RequestLatencyS,
-		MaxTime:        r.Spec.Sim.MaxTimeS,
+		UseBB:          opts.UseBB,
+		RequestLatency: opts.RequestLatencyS,
+		MaxTime:        opts.MaxTimeS,
 		Telemetry:      probe,
 		Health:         mon,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("campaign: %s: %w", c.Name(), err)
+		return nil, err
 	}
 	out := &CellResult{
 		Key:       c.Key,

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-
-	"repro/internal/xsort"
+	"slices"
 )
 
 // Grant is a bandwidth assignment for one application: the aggregate rate
@@ -266,22 +266,6 @@ func IsSaturating(s Scheduler) bool {
 	return ok && sat.Saturating()
 }
 
-// sortViewsStable sorts views in place, stably and allocation-free.
-// Stable sorts have a unique output, so results are bit-identical to
-// sort.SliceStable.
-//
-//iosched:allocfree
-func sortViewsStable(v []*AppView, less func(a, b *AppView) bool) {
-	xsort.Stable(v, less)
-}
-
-// sortIntsBy sorts idx in place by less, stably; allocation-free.
-//
-//iosched:allocfree
-func sortIntsBy(idx []int, less func(a, b int) bool) {
-	xsort.Stable(idx, less)
-}
-
 // MaxMinFairShare computes the max-min fair allocation of total bandwidth
 // among applications with individual caps: repeatedly split the remaining
 // bandwidth equally among unsaturated applications, capping each at its
@@ -313,11 +297,11 @@ func MaxMinFairShareInto(out []float64, idx []int, caps []float64, total float64
 	for i := range idx {
 		idx[i] = i
 	}
-	sortIntsBy(idx, func(a, b int) bool {
-		if caps[a] != caps[b] {
-			return caps[a] < caps[b]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(caps[a], caps[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	remaining := total
 	left := n
@@ -367,12 +351,11 @@ func weightedFairShareInto(out []float64, idx []int, caps, weights []float64, to
 		}
 		return caps[i] / weights[i]
 	}
-	sortIntsBy(idx, func(a, b int) bool {
-		ra, rb := ratio(a), ratio(b)
-		if ra != rb {
-			return ra < rb
+	slices.SortStableFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(ratio(a), ratio(b)); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	remaining := total
 	var weightLeft float64

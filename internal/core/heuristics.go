@@ -338,7 +338,7 @@ func idOrder(scr *Scratch, apps []*AppView) []*AppView {
 		return apps
 	}
 	scr.byID = append(scr.byID[:0], apps...)
-	sortViewsStable(scr.byID, func(a, b *AppView) bool { return a.ID < b.ID })
+	slices.SortStableFunc(scr.byID, func(a, b *AppView) int { return cmp.Compare(a.ID, b.ID) })
 	return scr.byID
 }
 

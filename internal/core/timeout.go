@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Timeout wraps a scheduler with the paper's wait-time control: "the
 // scheduler controls the wait time for all applications and can make sure
@@ -105,11 +109,11 @@ func (t Timeout) AllocateInto(scr *Scratch, now float64, apps []*AppView, cap Ca
 	if len(expired) == 0 {
 		return AllocateWith(t.Inner, scr.Inner(), now, apps, cap)
 	}
-	sortViewsStable(expired, func(a, b *AppView) bool {
-		if a.PendingSince != b.PendingSince {
-			return a.PendingSince < b.PendingSince
+	slices.SortStableFunc(expired, func(a, b *AppView) int {
+		if c := cmp.Compare(a.PendingSince, b.PendingSince); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	grants := GreedyAllocateAppend(scr.grants[:0], expired, cap)
 	var used float64

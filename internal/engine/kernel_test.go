@@ -113,7 +113,7 @@ func TestMemoRule(t *testing.T) {
 }
 
 // TestSkipPathsMemoizePostApplication pins the other half of the
-// iosched-sim/3 rule: the single and saturating outcomes do not depend on
+// memo rule: the single and saturating outcomes do not depend on
 // the fields their application flips, so the next point memo-skips. App 1
 // comes back with a smaller request between the two: it leaves and
 // re-joins, since a member's Nodes never changes in place, and the

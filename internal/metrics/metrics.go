@@ -103,13 +103,13 @@ func SummarizeWindow(apps []AppPerf, totalNodes int, start, end float64) Summary
 		if weight <= 0 {
 			continue
 		}
-		wn := weight * float64(a.Nodes)
-		s.SysEfficiency += wn * a.AchievedEff()
-		s.UpperLimit += wn * a.OptimalEff()
+		wn := float64(weight * float64(a.Nodes))
+		s.SysEfficiency += float64(wn * a.AchievedEff())
+		s.UpperLimit += float64(wn * a.OptimalEff())
 		if d := a.Dilation(); d > s.Dilation {
 			s.Dilation = d
 		}
-		dsum += wn * a.Dilation()
+		dsum += float64(wn * a.Dilation())
 		nodes += wn
 		if last > s.Makespan {
 			s.Makespan = last

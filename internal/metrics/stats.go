@@ -31,7 +31,7 @@ func (s Sample) Std() float64 {
 	var ss float64
 	for _, v := range s {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(s)))
 }
@@ -85,8 +85,8 @@ func (s Sample) Percentile(p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(rank) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // CI95 returns the half-width of the normal-approximation 95% confidence

@@ -1,12 +1,13 @@
 package periodic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/platform"
-	"repro/internal/xsort"
 )
 
 // builder incrementally inserts instances into a period.
@@ -166,11 +167,11 @@ func buildThrou(p *platform.Platform, apps []*platform.App, T float64, descendin
 		}
 		return workOf(a) / tio
 	}
-	xsort.Stable(order, func(x, y int) bool {
+	slices.SortStableFunc(order, func(x, y int) int {
 		if descending {
-			return key(x) > key(y)
+			return cmp.Compare(key(y), key(x))
 		}
-		return key(x) < key(y)
+		return cmp.Compare(key(x), key(y))
 	})
 	for _, i := range order {
 		for b.tryInsert(i) {

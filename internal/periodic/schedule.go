@@ -1,11 +1,12 @@
 package periodic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/platform"
-	"repro/internal/xsort"
 )
 
 // Slot is one scheduled instance of an application inside the period:
@@ -138,11 +139,11 @@ func (s *Schedule) Validate() error {
 		}
 		_ = i
 	}
-	xsort.Stable(edges, func(a, b edge) bool {
-		if a.t != b.t {
-			return a.t < b.t
+	slices.SortStableFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return a.bw < b.bw // process ends before starts at ties
+		return cmp.Compare(a.bw, b.bw) // process ends before starts at ties
 	})
 	var usage float64
 	for _, e := range edges {

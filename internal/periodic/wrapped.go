@@ -1,11 +1,12 @@
 package periodic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/platform"
-	"repro/internal/xsort"
 )
 
 // This file implements the *general* periodic schedule of Section 3.2.1,
@@ -116,6 +117,12 @@ func (s *WrappedSchedule) Validate() error {
 		t  float64
 		bw float64
 	}
+	edgeOrder := func(a, b edge) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.bw, b.bw)
+	}
 	var edges []edge
 	addUsage := func(sp Span, bw float64) {
 		for _, iv := range sp.normalize(s.T) {
@@ -164,12 +171,7 @@ func (s *WrappedSchedule) Validate() error {
 				return fmt.Errorf("app %d slot %d: transfers %g GiB, want %g", a.ID, j, moved, vol)
 			}
 		}
-		xsort.Stable(own, func(a, b edge) bool {
-			if a.t != b.t {
-				return a.t < b.t
-			}
-			return a.bw < b.bw
-		})
+		slices.SortStableFunc(own, edgeOrder)
 		depth := 0.0
 		for _, e := range own {
 			depth += e.bw
@@ -179,12 +181,7 @@ func (s *WrappedSchedule) Validate() error {
 		}
 	}
 
-	xsort.Stable(edges, func(a, b edge) bool {
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		return a.bw < b.bw
-	})
+	slices.SortStableFunc(edges, edgeOrder)
 	var usage float64
 	for _, e := range edges {
 		usage += e.bw

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -299,15 +298,4 @@ func (d *Document) ExportCSV(dir string) error {
 		}
 	}
 	return nil
-}
-
-// SortedKeys returns map keys in sorted order (deterministic report
-// generation helper).
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -128,11 +128,3 @@ func TestExportCSV(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}

@@ -24,8 +24,9 @@ func TestSteadyRoundTelemetryAllocationFree(t *testing.T) {
 	}{
 		{"memoized-fair-share", core.FairShare{}, 32},
 		{"full-MaxSysEff", core.MaxSysEff(), 32},
-		// Past xsort's insertion threshold (64): the heuristics' heap and
-		// the share policies' large-n stable sort stay allocation-free.
+		// Past slices.SortStableFunc's 20-element insertion blocks: the
+		// heuristics' heap and the share policies' merging sort stay
+		// allocation-free.
 		// Timeout is not memoizable, so fair-share re-sorts every round.
 		{"full-MaxSysEff-96", core.MaxSysEff(), 96},
 		{"full-Timeout-fair-share-96", core.NewTimeout(core.FairShare{}, 1e9), 96},

@@ -327,7 +327,7 @@ func DefaultMaxTime(cfg Config) float64 {
 			maxRelease = a.Release
 		}
 	}
-	return maxRelease + 20*horizon + 1e4
+	return maxRelease + float64(20*horizon) + 1e4
 }
 
 // finishSetup resolves the config-derived fields shared by the fresh and
@@ -631,7 +631,7 @@ func (s *simulation) advanceTo(t float64) {
 	// Per-element decrements: safe over the unordered set.
 	for _, i := range s.active {
 		st := &s.apps[i]
-		st.view.RemVolume -= st.bw * dt
+		st.view.RemVolume -= float64(st.bw * dt)
 		if st.view.RemVolume < 0 {
 			st.view.RemVolume = 0
 		}

@@ -60,7 +60,7 @@ func bucketIndex(v float64) int {
 func bucketUpper(i int) float64 {
 	octave := i >> histSubBits
 	sub := i & (histSub - 1)
-	return math.Ldexp(1+float64(sub+1)/histSub, histMinExp+octave)
+	return math.Ldexp(1+float64(float64(sub+1)/histSub), histMinExp+octave)
 }
 
 // Observe records one value in seconds.
@@ -180,7 +180,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	target := q * float64(s.Count)
+	target := float64(q * float64(s.Count))
 	var cum float64
 	for k, b := range s.Buckets {
 		next := cum + float64(b.Count)
@@ -196,7 +196,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 			if frac > 1 {
 				frac = 1
 			}
-			return lower + frac*(b.LE-lower)
+			return lower + float64(frac*(b.LE-lower))
 		}
 		cum = next
 	}

@@ -75,8 +75,8 @@ type PointBuilder struct {
 func (b *PointBuilder) Add(now float64, v *core.AppView, bw, nodeBW float64) {
 	b.n++
 	b.bwSum += bw
-	b.bwSumSq += bw * bw
-	b.demand += float64(v.Nodes) * nodeBW
+	b.bwSumSq += float64(bw * bw)
+	b.demand += float64(float64(v.Nodes) * nodeBW)
 	st := 1 / v.Ratio(now)
 	b.stretchSum += st
 	if st > b.stretchMax {

@@ -223,7 +223,7 @@ func (e *Engine) measure(policy string, at float64, apps []*platform.App, final 
 		if af.Stretch > f.MaxStretch {
 			f.MaxStretch = af.Stretch
 		}
-		weighted += float64(app.Nodes) * af.Stretch
+		weighted += float64(float64(app.Nodes) * af.Stretch)
 		nodes += float64(app.Nodes)
 		perfs = append(perfs, perf)
 		f.Apps = append(f.Apps, af)

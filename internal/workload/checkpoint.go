@@ -33,7 +33,7 @@ func DalyPeriod(delta, mtbf float64) (float64, error) {
 		return mtbf, nil
 	}
 	x := delta / (2 * mtbf)
-	t := math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(x)/3+x/9) - delta
+	t := float64(math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(x)/3+x/9)) - delta
 	if t <= 0 {
 		return 0, fmt.Errorf("workload: degenerate Daly period %g (δ=%g, M=%g)", t, delta, mtbf)
 	}
@@ -62,25 +62,4 @@ func CheckpointApp(p *platform.Platform, id, nodes int, memPerNode, mtbf, wallTi
 	app := platform.NewPeriodic(id, nodes, w, vol, n)
 	app.Name = fmt.Sprintf("ckpt-%d", id)
 	return app, nil
-}
-
-// CheckpointMix builds a mix of checkpointing applications with varied
-// allocations; the shared MTBF models a common platform failure rate (so
-// larger applications checkpoint relatively more often per node-hour).
-func CheckpointMix(p *platform.Platform, sizes []int, memPerNode, mtbf, wallTime float64) ([]*platform.App, error) {
-	apps := make([]*platform.App, len(sizes))
-	for i, nodes := range sizes {
-		// An application's effective MTBF shrinks with its size: more
-		// nodes, more failures. Scale by the allocation share.
-		appMTBF := mtbf * float64(p.Nodes) / float64(nodes)
-		a, err := CheckpointApp(p, i, nodes, memPerNode, appMTBF, wallTime)
-		if err != nil {
-			return nil, err
-		}
-		apps[i] = a
-	}
-	if err := platform.ValidateApps(p, apps); err != nil {
-		return nil, err
-	}
-	return apps, nil
 }

@@ -89,16 +89,6 @@ func Templates() []Template {
 	}
 }
 
-// TemplateByName looks a template up (case-sensitive).
-func TemplateByName(name string) (Template, bool) {
-	for _, t := range Templates() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Template{}, false
-}
-
 // Instantiate draws one concrete application from the template. nodes == 0
 // draws an allocation from the template's range.
 func (t Template) Instantiate(id, nodes int, seed int64) *platform.App {
@@ -111,42 +101,4 @@ func (t Template) Instantiate(id, nodes int, seed int64) *platform.App {
 	app := platform.NewPeriodic(id, nodes, w, vol, t.Outputs)
 	app.Name = fmt.Sprintf("%s-%d", t.Name, id)
 	return app
-}
-
-// TemplateMix draws n applications from the built-in templates, scaled to
-// fit the platform at the given node fraction.
-func TemplateMix(p *platform.Platform, n int, fill float64, seed int64) ([]*platform.App, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: template mix size %d", n)
-	}
-	if fill <= 0 || fill > 1 {
-		return nil, fmt.Errorf("workload: fill %g outside (0,1]", fill)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	tpls := Templates()
-	apps := make([]*platform.App, n)
-	total := 0
-	for i := range apps {
-		t := tpls[rng.Intn(len(tpls))]
-		apps[i] = t.Instantiate(i, 0, rng.Int63())
-		total += apps[i].Nodes
-	}
-	budget := int(fill * float64(p.Nodes))
-	if total > budget {
-		scale := float64(budget) / float64(total)
-		for _, a := range apps {
-			a.Nodes = int(float64(a.Nodes) * scale)
-			if a.Nodes < 1 {
-				a.Nodes = 1
-			}
-			// Outputs scale with the allocation: fewer nodes write less.
-			for j := range a.Instances {
-				a.Instances[j].Volume *= scale
-			}
-		}
-	}
-	if err := platform.ValidateApps(p, apps); err != nil {
-		return nil, err
-	}
-	return apps, nil
 }

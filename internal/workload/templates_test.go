@@ -33,17 +33,11 @@ func TestTemplatesWellFormed(t *testing.T) {
 	}
 }
 
-func TestTemplateByName(t *testing.T) {
-	if _, ok := TemplateByName("S3D"); !ok {
-		t.Error("S3D not found")
-	}
-	if _, ok := TemplateByName("nope"); ok {
-		t.Error("bogus template found")
-	}
-}
-
 func TestInstantiate(t *testing.T) {
-	tpl, _ := TemplateByName("GTC")
+	tpl := Templates()[2]
+	if tpl.Name != "GTC" {
+		t.Fatalf("template 2 is %s, want GTC", tpl.Name)
+	}
 	app := tpl.Instantiate(3, 0, 7)
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
@@ -69,26 +63,6 @@ func TestInstantiate(t *testing.T) {
 	again := tpl.Instantiate(3, 0, 7)
 	if again.Nodes != app.Nodes || again.Instances[0] != app.Instances[0] {
 		t.Error("instantiate not deterministic")
-	}
-}
-
-func TestTemplateMix(t *testing.T) {
-	p := platform.Intrepid()
-	apps, err := TemplateMix(p, 12, 0.9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apps) != 12 {
-		t.Fatalf("got %d apps", len(apps))
-	}
-	if err := platform.ValidateApps(p, apps); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TemplateMix(p, 0, 0.9, 1); err == nil {
-		t.Error("zero-size mix accepted")
-	}
-	if _, err := TemplateMix(p, 4, 0, 1); err == nil {
-		t.Error("zero fill accepted")
 	}
 }
 
@@ -148,23 +122,5 @@ func TestCheckpointApp(t *testing.T) {
 	}
 	if _, err := CheckpointApp(p, 0, 0, 0.5, 86400, 1000); err == nil {
 		t.Error("zero nodes accepted")
-	}
-}
-
-func TestCheckpointMix(t *testing.T) {
-	p := platform.Intrepid()
-	apps, err := CheckpointMix(p, []int{2048, 4096, 8192}, 0.25, 30*86400, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apps) != 3 {
-		t.Fatalf("got %d apps", len(apps))
-	}
-	// Bigger allocations see more failures, so they checkpoint more
-	// often: their Daly period must be shorter.
-	w0 := apps[0].Instances[0].Work
-	w2 := apps[2].Instances[0].Work
-	if w2 >= w0 {
-		t.Errorf("8192-node app period %g not shorter than 2048-node %g", w2, w0)
 	}
 }

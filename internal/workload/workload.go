@@ -232,7 +232,7 @@ func uniform(rng *rand.Rand, lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // ReplicateToFill clones randomly chosen applications from the observed set
