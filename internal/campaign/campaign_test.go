@@ -34,6 +34,14 @@ func testSpec() *Spec {
 	}
 }
 
+// momentSpec is testSpec with its workload swapped for the congested
+// moments drawn from setSeed: cell seed 42 runs moment 42.
+func momentSpec(setSeed int64) *Spec {
+	s := testSpec()
+	s.Workloads = []WorkloadSpec{{Name: "tiny-mix", Moments: &MomentSpec{SetSeed: setSeed}}}
+	return s
+}
+
 func TestSpecValidate(t *testing.T) {
 	if err := testSpec().Validate(); err != nil {
 		t.Fatal(err)
@@ -57,6 +65,23 @@ func TestSpecValidate(t *testing.T) {
 			s.Sim.UseBB = true
 			s.Platforms = []PlatformSpec{{Name: "bare", Nodes: 100, NodeBW: 1, TotalBW: 10}}
 		},
+		func(s *Spec) { s.Workloads[0].Moments = &MomentSpec{} }, // moments and generator
+		func(s *Spec) { s.Workloads[0] = WorkloadSpec{Name: "m", Scenario: "fig6a", Moments: &MomentSpec{}} },
+		func(s *Spec) {
+			s.Workloads[0] = WorkloadSpec{Name: "m", Moments: &MomentSpec{}}
+			s.Platforms = append(s.Platforms, PlatformSpec{Preset: "vesta"}) // no moment set
+		},
+		func(s *Spec) {
+			s.Workloads[0] = WorkloadSpec{Name: "m", Moments: &MomentSpec{}}
+			s.Platforms[0].Nodes = 1 // another machine: no moment set
+		},
+		func(s *Spec) {
+			s.Workloads[0] = WorkloadSpec{Name: "m", Moments: &MomentSpec{}}
+			s.Seeds.Start = -1 // not a moment index
+		},
+	}
+	if err := momentSpec(1).Validate(); err != nil {
+		t.Fatalf("moment spec rejected: %v", err)
 	}
 	for i, mutate := range bad {
 		s := testSpec()
@@ -149,6 +174,29 @@ func TestCellKeySensitivity(t *testing.T) {
 			t.Errorf("mutation %d left cell 0 key unchanged", i)
 		}
 	}
+	// A moment cell's key follows the moment's identity (set seed and
+	// index) and differs from the generator cell with the same seed.
+	momentCells, err := momentSpec(1).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	momentMutations := []func(*Spec){
+		func(s *Spec) { s.Workloads[0].Moments.SetSeed = 2 },
+		func(s *Spec) { s.Seeds.Start = 43 },
+		func(s *Spec) { s.Workloads = testSpec().Workloads },
+	}
+	for i, mutate := range momentMutations {
+		s := momentSpec(1)
+		mutate(s)
+		cells, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells[0].Key == momentCells[0].Key {
+			t.Errorf("moment mutation %d left cell 0 key unchanged", i)
+		}
+	}
+
 	// A renamed workload label groups differently but caches identically.
 	s := testSpec()
 	s.Workloads[0].Name = "renamed"
@@ -168,10 +216,10 @@ func TestCellKeySensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range baseCells {
-		if got := cellKey(engine, c.plat, c.Scheduler, c.wcfg, c.Seed, base.Sim); got != c.Key {
+		if got := cellKey(engine, &c, base.Sim); got != c.Key {
 			t.Errorf("%s: key is not its content under the fingerprint", c.Name())
 		}
-		if cellKey("other-engine", c.plat, c.Scheduler, c.wcfg, c.Seed, base.Sim) == c.Key {
+		if cellKey("other-engine", &c, base.Sim) == c.Key {
 			t.Errorf("%s: the fingerprint does not participate in the key", c.Name())
 		}
 	}

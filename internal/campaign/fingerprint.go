@@ -99,8 +99,9 @@ func writeSchema(w io.Writer, t reflect.Type) {
 // battery is the fixed reference sweep the fingerprint runs: every
 // scheduler family core.ByName accepts on two Figure 6 scenarios, then the
 // same schedulers on a generated mix through a burst buffer with every
-// SimOptions switch on. Editing it changes the fingerprint, which is
-// safe: every cached cell misses once.
+// SimOptions switch on, then one congested-moment cell, so an edit to
+// moment generation misses too. Editing it changes the fingerprint,
+// which is safe: every cached cell misses once.
 func battery() []*Spec {
 	schedulers := []string{
 		"RoundRobin", "MinDilation", "MaxSysEff", "MinMax-0.5",
@@ -137,5 +138,11 @@ func battery() []*Spec {
 			TelemetrySampleS: 10,
 			Health:           true,
 		},
+	}, {
+		Name:       "fingerprint-moment",
+		Platforms:  intrepid,
+		Schedulers: []string{"MaxSysEff"},
+		Workloads:  []WorkloadSpec{{Name: "moment", Moments: &MomentSpec{SetSeed: 1}}},
+		Seeds:      SeedRange{Start: 1, Count: 1},
 	}}
 }

@@ -27,9 +27,19 @@ type Cell struct {
 	// outcome; it addresses the result cache.
 	Key string
 
-	plat  *platform.Platform
-	wcfg  workload.Config
-	shard int
+	plat    *platform.Platform
+	wcfg    workload.Config
+	moments *MomentSpec
+	shard   int
+}
+
+// apps builds the cell's application mix: its congested moment, or the
+// mix its generator configuration draws.
+func (c *Cell) apps() ([]*platform.App, error) {
+	if c.moments != nil {
+		return workload.CongestedMoment(c.plat, c.Platform, c.moments.SetSeed, int(c.Seed)).Apps, nil
+	}
+	return workload.Generate(c.wcfg)
 }
 
 // Name returns a human-readable cell identifier.
@@ -49,6 +59,7 @@ type cellContent struct {
 	Sim       SimOptions    `json:"sim"`
 	BB        *fpBurstBuf   `json:"bb,omitempty"`
 	Groups    []fpGroupSpec `json:"groups"`
+	Moments   *MomentSpec   `json:"moments,omitempty"`
 }
 
 type fpPlatform struct {
@@ -81,13 +92,14 @@ type fpWorkload struct {
 	Fill          float64 `json:"fill"`
 }
 
-// cellKey hashes the resolved cell content under the given engine
-// fingerprint.
-func cellKey(engine string, p *platform.Platform, scheduler string, wcfg workload.Config, seed int64, sim SimOptions) string {
+// cellKey hashes the resolved content of c under the given engine
+// fingerprint; a moment cell's is its moment's (platform, set seed, seed).
+func cellKey(engine string, c *Cell, sim SimOptions) string {
+	p, wcfg := c.plat, c.wcfg
 	fp := cellContent{
 		Engine:    engine,
 		Platform:  fpPlatform{Nodes: p.Nodes, NodeBW: p.NodeBW, TotalBW: p.TotalBW},
-		Scheduler: scheduler,
+		Scheduler: c.Scheduler,
 		Workload: fpWorkload{
 			IORatio:       wcfg.IORatio,
 			IORatioSpread: wcfg.IORatioSpread,
@@ -101,8 +113,9 @@ func cellKey(engine string, p *platform.Platform, scheduler string, wcfg workloa
 			ReleaseSpread: wcfg.ReleaseSpread,
 			Fill:          wcfg.Fill,
 		},
-		Seed: seed,
-		Sim:  sim,
+		Seed:    c.Seed,
+		Sim:     sim,
+		Moments: c.moments,
 	}
 	if sim.UseBB && p.BurstBuffer != nil {
 		fp.BB = &fpBurstBuf{Capacity: p.BurstBuffer.Capacity, IngestBW: p.BurstBuffer.IngestBW}
@@ -135,7 +148,7 @@ func (s *Spec) Expand() ([]Cell, error) {
 	}
 	for i := range cells {
 		c := &cells[i]
-		c.Key = cellKey(engine, c.plat, c.Scheduler, c.wcfg, c.Seed, s.Sim)
+		c.Key = cellKey(engine, c, s.Sim)
 	}
 	return cells, nil
 }
@@ -176,6 +189,7 @@ func (s *Spec) cells() ([]Cell, error) {
 						Seed:      seed,
 						plat:      p,
 						wcfg:      wcfg,
+						moments:   w.Moments,
 						shard:     shard,
 					})
 				}

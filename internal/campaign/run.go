@@ -10,7 +10,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Runner executes a campaign: probe the cache, fan the missing cells out
@@ -142,13 +141,13 @@ func byShard(cells []*Cell) [][]*Cell {
 }
 
 // runShard simulates one shard under opts, resolving each cell's
-// scheduler through byName. Generating the application mix once per
+// scheduler through byName. Building the application mix once per
 // shard amortizes workload construction and keeps every scheduler
 // measured on the identical mix; the simulator never mutates the mix, so
 // sequential reuse within the shard is safe. It needs no Runner and no
 // cache: each result carries its cell's Key, empty or not.
 func runShard(cells []*Cell, opts SimOptions, byName func(string) (core.Scheduler, error)) ([]*CellResult, error) {
-	apps, err := workload.Generate(cells[0].wcfg)
+	apps, err := cells[0].apps()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %s: %w", cells[0].Name(), err)
 	}

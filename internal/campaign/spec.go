@@ -15,6 +15,7 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -102,9 +103,9 @@ func (ps PlatformSpec) resolve() (*platform.Platform, error) {
 	return p, nil
 }
 
-// WorkloadSpec describes one workload axis value: either a named scenario
-// from the paper's evaluation or a custom generator configuration. The
-// cell's platform and seed are substituted in at expansion time.
+// WorkloadSpec describes one workload axis value: a paper scenario, a
+// custom generator configuration or congested moments. The cell's
+// platform and seed are substituted in at expansion time.
 type WorkloadSpec struct {
 	Name string `json:"name"`
 	// Scenario selects a paper scenario: "fig6a" (10 large, I/O ratio
@@ -114,7 +115,23 @@ type WorkloadSpec struct {
 	// Generator configures a custom synthetic mix (exclusive with
 	// Scenario).
 	Generator *GeneratorSpec `json:"generator,omitempty"`
+	// Moments selects congested moments (exclusive with both): the
+	// cell's seed is the moment index, so groups average over moments.
+	Moments *MomentSpec `json:"moments,omitempty"`
 }
+
+// MomentSpec selects a congested-moment set: the cell with seed i runs
+// moment i of the set drawn for the cell's platform from SetSeed
+// (workload.CongestedMoment).
+type MomentSpec struct {
+	SetSeed int64 `json:"set_seed"`
+}
+
+// momentPresets are the platform presets with a congested-moment set:
+// the machines whose logs the paper's moments come from (Section 4.4).
+// A capacity override makes another machine, which has none; a burst
+// buffer override does not change the moments.
+var momentPresets = map[string]bool{"intrepid": true, "mira": true}
 
 // GeneratorSpec mirrors workload.Config for the JSON format; the
 // platform and seed come from the cell.
@@ -163,8 +180,11 @@ var fig6Kinds = map[string]workload.Fig6Kind{
 }
 
 // config resolves the workload axis value into a generator configuration
-// for one cell.
+// for one cell; a moments workload has none.
 func (w WorkloadSpec) config(p *platform.Platform, seed int64) (workload.Config, error) {
+	if w.Moments != nil {
+		return workload.Config{}, nil // see Cell.apps
+	}
 	if w.Scenario != "" {
 		kind, ok := fig6Kinds[w.Scenario]
 		if !ok {
@@ -311,6 +331,19 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign %q: duplicate workload %q", s.Name, w.Name)
 		}
 		seenW[w.Name] = true
+		if w.Moments != nil {
+			if w.Scenario != "" || w.Generator != nil {
+				return fmt.Errorf("campaign %q: workload %q sets moments with a scenario or generator", s.Name, w.Name)
+			}
+			for _, ps := range s.Platforms {
+				if !momentPresets[ps.Preset] || ps.Nodes != 0 || ps.NodeBW != 0 || ps.TotalBW != 0 {
+					return fmt.Errorf("campaign %q: workload %q: platform %q has no congested-moment set", s.Name, w.Name, cmp.Or(ps.Name, ps.Preset))
+				}
+			}
+			if v := s.Seeds.Values(); min(v[0], v[len(v)-1]) < 0 {
+				return fmt.Errorf("campaign %q: workload %q: negative seeds are not moment indices", s.Name, w.Name)
+			}
+		}
 		if w.Scenario != "" && w.Generator != nil {
 			return fmt.Errorf("campaign %q: workload %q sets both scenario and generator", s.Name, w.Name)
 		}

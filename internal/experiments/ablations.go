@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ior"
@@ -131,7 +132,8 @@ func runAblationSharedNetwork(cfg Config) (*Document, error) {
 // Intrepid congested moments. The paper notes the scheduler must keep
 // waits below the I/O system's timeout; this quantifies what that costs.
 func runAblationTimeout(cfg Config) (*Document, error) {
-	moments := intrepidSet(cfg)
+	set := intrepidSet(cfg)
+	moments := workload.IntrepidMoments(set.n, set.setSeed)
 	type schedDef struct {
 		label string
 		build func() core.Scheduler
@@ -201,18 +203,18 @@ func longestStall(tr *sim.Trace) float64 {
 // runAblationGamma sweeps the MinMax threshold across the Intrepid moment
 // set, tracing the trade-off curve between the two pure objectives.
 func runAblationGamma(cfg Config) (*Document, error) {
-	moments := intrepidSet(cfg)
+	m := intrepidSet(cfg)
 	gammas := []float64{0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1}
-	scheds := make([]core.Scheduler, len(gammas))
+	names := make([]string, len(gammas))
 	for i, g := range gammas {
-		scheds[i] = core.MinMax(g)
+		names[i] = core.MinMax(g).Name()
 	}
-	outcomes, err := runMoments(moments, scheds, cfg.Workers)
+	res, err := runSpec(cfg, m.spec(m.n, names, campaign.SimOptions{}))
 	if err != nil {
 		return nil, err
 	}
 	tbl := &report.Table{
-		Title:   fmt.Sprintf("MinMax-γ sweep over %d Intrepid moments", len(moments)),
+		Title:   fmt.Sprintf("MinMax-γ sweep over %d Intrepid moments", m.n),
 		Columns: []string{"gamma", "Dilation", "SysEfficiency"},
 		Notes: []string{
 			"γ=0 is exactly MaxSysEff, γ=1 exactly MinDilation",
@@ -220,8 +222,8 @@ func runAblationGamma(cfg Config) (*Document, error) {
 		},
 	}
 	for i, g := range gammas {
-		mean := meanOver(outcomes, scheds[i].Name())
-		tbl.AddRow(scheds[i].Name(), g, mean.Dilation, mean.SysEfficiency)
+		mean := groupOf(res, m.preset, momentsWorkload, names[i])
+		tbl.AddRow(names[i], g, mean.Dilation, mean.SysEfficiency)
 	}
 	return &Document{ID: "ablation-gamma", Title: "MinMax threshold sweep",
 		Tables: []*report.Table{tbl}}, nil
@@ -231,25 +233,22 @@ func runAblationGamma(cfg Config) (*Document, error) {
 // saves) per heuristic on both machines' moment sets.
 func runAblationPriority(cfg Config) (*Document, error) {
 	doc := &Document{ID: "ablation-priority", Title: "Priority constraint cost"}
-	for _, set := range []struct {
-		name    string
-		moments []workload.Moment
-	}{
-		{"Intrepid", intrepidSet(cfg)},
-		{"Mira", miraSet(cfg)},
-	} {
-		outcomes, err := runMoments(set.moments, momentSchedulers(), cfg.Workers)
+	bases := []string{"MaxSysEff", "MinMax-0.5", "MinDilation"}
+	scheds := []string{"MaxSysEff", "Priority-MaxSysEff", "MinMax-0.5", "Priority-MinMax-0.5",
+		"MinDilation", "Priority-MinDilation"}
+	for _, m := range []momentSet{intrepidSet(cfg), miraSet(cfg)} {
+		res, err := runSpec(cfg, m.spec(m.n, scheds, campaign.SimOptions{}))
 		if err != nil {
 			return nil, err
 		}
 		tbl := &report.Table{
-			Title:   fmt.Sprintf("Priority deltas on %s (%d moments)", set.name, len(set.moments)),
+			Title:   fmt.Sprintf("Priority deltas on %s (%d moments)", m.machine, m.n),
 			Columns: []string{"ΔDilation", "ΔSysEfficiency"},
 			Notes:   []string{"delta = Priority variant − plain variant; positive ΔSysEfficiency means Priority helped"},
 		}
-		for _, base := range []string{"MaxSysEff", "MinMax-0.5", "MinDilation"} {
-			plain := meanOver(outcomes, base)
-			prio := meanOver(outcomes, "Priority-"+base)
+		for _, base := range bases {
+			plain := groupOf(res, m.preset, momentsWorkload, base)
+			prio := groupOf(res, m.preset, momentsWorkload, "Priority-"+base)
 			tbl.AddRow(base, prio.Dilation-plain.Dilation, prio.SysEfficiency-plain.SysEfficiency)
 		}
 		doc.Tables = append(doc.Tables, tbl)
@@ -259,52 +258,39 @@ func runAblationPriority(cfg Config) (*Document, error) {
 
 // runAblationBB sweeps the burst-buffer capacity under the production
 // scheduler on the Intrepid moments: small buffers saturate and stop
-// helping, which is the paper's opening observation.
+// helping, which is the paper's opening observation. The capacities are
+// the platform axis of one burst-buffer campaign.
 func runAblationBB(cfg Config) (*Document, error) {
-	moments := intrepidSet(cfg)
-	base := platform.Intrepid()
-	multipliers := []float64{0, 0.25, 0.5, 1, 2, 4, 8}
-	rows, err := parallel.Map(len(multipliers), cfg.Workers, func(mi int) ([2]float64, error) {
-		mult := multipliers[mi]
-		var runs []metrics.Summary
-		for _, m := range moments {
-			p := base.WithoutBB()
-			useBB := false
-			if mult > 0 {
-				p = base.WithBB(platform.BurstBuffer{
-					Capacity: base.BurstBuffer.Capacity * mult,
-					IngestBW: base.BurstBuffer.IngestBW,
-				})
-				useBB = true
-			}
-			res, err := sim.Run(sim.Config{
-				Platform:  p,
-				Scheduler: core.FairShare{},
-				Apps:      m.Apps,
-				UseBB:     useBB,
-			})
-			if err != nil {
-				return [2]float64{}, fmt.Errorf("%s x%g: %w", m.Name, mult, err)
-			}
-			runs = append(runs, res.Summary)
-		}
-		mean := metrics.MeanSummary(runs)
-		return [2]float64{mean.Dilation, mean.SysEfficiency}, nil
-	})
+	m := intrepidSet(cfg)
+	bb := platform.Intrepid().BurstBuffer
+	noBB, err := runSpec(cfg, m.spec(m.n, []string{machineScheduler}, campaign.SimOptions{}))
 	if err != nil {
 		return nil, err
 	}
 	tbl := &report.Table{
-		Title:   fmt.Sprintf("Burst-buffer capacity sweep, fair-share baseline, %d Intrepid moments", len(moments)),
+		Title:   fmt.Sprintf("Burst-buffer capacity sweep, fair-share baseline, %d Intrepid moments", m.n),
 		Columns: []string{"Dilation", "SysEfficiency"},
-		Notes:   []string{fmt.Sprintf("base capacity %.0f GiB; ingest fixed at %.0f GiB/s", base.BurstBuffer.Capacity, base.BurstBuffer.IngestBW)},
+		Notes:   []string{fmt.Sprintf("base capacity %.0f GiB; ingest fixed at %.0f GiB/s", bb.Capacity, bb.IngestBW)},
 	}
-	for i, mult := range multipliers {
-		label := "no BB"
-		if mult > 0 {
-			label = fmt.Sprintf("%.2gx capacity", mult)
-		}
-		tbl.AddRow(label, rows[i][0], rows[i][1])
+	g := groupOf(noBB, m.preset, momentsWorkload, machineScheduler)
+	tbl.AddRow("no BB", g.Dilation, g.SysEfficiency)
+
+	spec := m.spec(m.n, []string{machineScheduler}, campaign.SimOptions{UseBB: true})
+	spec.Platforms = nil
+	for _, mult := range []float64{0.25, 0.5, 1, 2, 4, 8} {
+		spec.Platforms = append(spec.Platforms, campaign.PlatformSpec{
+			Preset:      m.preset,
+			Name:        fmt.Sprintf("%.2gx capacity", mult),
+			BurstBuffer: &campaign.BurstBufferSpec{CapacityGiB: bb.Capacity * mult, IngestBW: bb.IngestBW},
+		})
+	}
+	withBB, err := runSpec(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	for _, ps := range spec.Platforms {
+		g := groupOf(withBB, ps.Name, momentsWorkload, machineScheduler)
+		tbl.AddRow(ps.Name, g.Dilation, g.SysEfficiency)
 	}
 	return &Document{ID: "ablation-bb", Title: "Burst-buffer capacity sweep",
 		Tables: []*report.Table{tbl}}, nil
@@ -396,11 +382,8 @@ func runPeriodicVsOnline(cfg Config) (*Document, error) {
 			return out, err
 		}
 		out.onEffEff, out.onEffDil = onEff.Summary.SysEfficiency, onEff.Summary.Dilation
-		longApps2 := make([]*platform.App, len(apps))
-		for i, a := range apps {
-			longApps2[i] = platform.NewPeriodic(a.ID, a.Nodes, a.Instances[0].Work, a.Instances[0].Volume, 30)
-		}
-		onDil, err := sim.Run(sim.Config{Platform: p, Scheduler: core.MinDilation(), Apps: longApps2})
+		// The simulator never mutates its applications, so both runs share them.
+		onDil, err := sim.Run(sim.Config{Platform: p, Scheduler: core.MinDilation(), Apps: longApps})
 		if err != nil {
 			return out, err
 		}

@@ -4,6 +4,12 @@
 // its workload, runs the simulator or the cluster emulator across the
 // relevant schedulers, and renders the same rows/series the paper reports.
 //
+// Grid-shaped artifacts (Figures 6–13, Tables 1–2, verify's moment
+// claims, the gamma/priority/burst-buffer ablations) run as
+// internal/campaign specs; a congested-moment grid's seed is the moment
+// index. The rest need per-application results, traces or the cluster
+// emulator, which a campaign cell does not keep.
+//
 // `iosim -list` prints the experiment index; the verify experiment checks
 // the paper's qualitative claims against live runs.
 package experiments

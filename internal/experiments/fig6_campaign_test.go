@@ -1,13 +1,39 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// replicateSummaries is the pre-campaign replicate driver, kept as the
+// reference the campaign-based Figure 6 and 7 drivers are checked
+// against: it runs one scheduler over seeded replicate mixes and returns
+// the per-replicate summaries.
+func replicateSummaries(cfgGen func(rep int) workload.Config, sched core.Scheduler, n, workers int) ([]metrics.Summary, error) {
+	return parallel.Map(n, workers, func(rep int) (metrics.Summary, error) {
+		wcfg := cfgGen(rep)
+		apps, err := workload.Generate(wcfg)
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		res, err := sim.Run(sim.Config{
+			Platform:  wcfg.Platform.WithoutBB(),
+			Scheduler: sched,
+			Apps:      apps,
+		})
+		if err != nil {
+			return metrics.Summary{}, fmt.Errorf("replicate %d under %s: %w", rep, sched.Name(), err)
+		}
+		return res.Summary, nil
+	})
+}
 
 // TestFig6CampaignMatchesDirectSweep pins the campaign-based Figure 6
 // driver to the original hand-wired sweep: identical replicate seeding,
@@ -56,6 +82,44 @@ func TestFig6CampaignMatchesDirectSweep(t *testing.T) {
 					t.Errorf("%v %s cell %d: campaign %v, direct sweep %v",
 						kind, sched.Name(), ci, row.Cells[ci], w)
 				}
+			}
+		}
+	}
+}
+
+// TestFig7CampaignMatchesDirectSweep pins the campaign-based Figure 7
+// driver to the pre-campaign loop: every series point is the mean of
+// the Figure 6b replicates with the work sensibility set, bit for bit.
+func TestFig7CampaignMatchesDirectSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep comparison skipped in -short mode")
+	}
+	cfg := Config{Replicates: 3, Seed: 3, Workers: 2}
+	doc, err := runFig7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dil, eff := doc.Figures[0], doc.Figures[1]
+	for si, sched := range []core.Scheduler{core.MinDilation(), core.MaxSysEff(), core.MinMax(0.5)} {
+		if dil.Series[si].Name != sched.Name() {
+			t.Fatalf("series %d is %q, want %q", si, dil.Series[si].Name, sched.Name())
+		}
+		for pi, x := range []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30} {
+			sums, err := replicateSummaries(func(rep int) workload.Config {
+				wcfg := workload.Fig6Config(workload.Fig6B, cfg.Seed+int64(rep)*31+7)
+				wcfg.SensW = x
+				wcfg.SensIO = 0
+				return wcfg
+			}, sched, cfg.Replicates, cfg.Workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean := metrics.MeanSummary(sums)
+			if got := dil.Series[si].Y[pi]; got != mean.Dilation {
+				t.Errorf("%s sens %g: dilation %v, direct sweep %v", sched.Name(), x, got, mean.Dilation)
+			}
+			if got := eff.Series[si].Y[pi]; got != mean.SysEfficiency {
+				t.Errorf("%s sens %g: efficiency %v, direct sweep %v", sched.Name(), x, got, mean.SysEfficiency)
 			}
 		}
 	}

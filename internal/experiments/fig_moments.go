@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -57,26 +57,23 @@ func init() {
 		ID:    "table1",
 		Title: "Averages over the Intrepid congested moments",
 		Paper: "Table 1",
-		Run:   momentsTable("table1", "Intrepid", intrepidSet),
+		Run:   momentsTable("table1", intrepidSet),
 	})
 	register(Experiment{
 		ID:    "table2",
 		Title: "Averages over the Mira congested moments",
 		Paper: "Table 2",
-		Run:   momentsTable("table2", "Mira", miraSet),
+		Run:   momentsTable("table2", miraSet),
 	})
 }
 
 // momentsFigure builds a per-moment comparison figure (two panels:
 // Dilation, SysEfficiency) for the named schedulers plus the production
-// baseline and the upper limit.
-func momentsFigure(id string, set func(Config) []workload.Moment, firstN int, schedNames []string) Runner {
+// baseline and the upper limit, over the set's first firstN moments.
+func momentsFigure(id string, set func(Config) momentSet, firstN int, schedNames []string) Runner {
 	return func(cfg Config) (*Document, error) {
-		moments := set(cfg)
-		if len(moments) > firstN {
-			moments = moments[:firstN]
-		}
-		outcomes, err := runMoments(moments, momentSchedulers(), cfg.Workers)
+		m := set(cfg)
+		heur, base, err := m.run(cfg, min(m.n, firstN), schedNames)
 		if err != nil {
 			return nil, err
 		}
@@ -91,39 +88,33 @@ func momentsFigure(id string, set func(Config) []workload.Moment, firstN int, sc
 			XLabel: "moment",
 			YLabel: "SysEfficiency",
 		}
-		addSeries := func(name string, pick func(momentOutcome) (float64, float64)) {
-			ds := report.Series{Name: name}
-			es := report.Series{Name: name}
-			for i, o := range outcomes {
-				d, e := pick(o)
+		addSeries := func(name string, sums []metrics.Summary) {
+			ds, es := report.Series{Name: name}, report.Series{Name: name}
+			for i, s := range sums {
 				x := float64(i + 1)
-				ds.X, ds.Y = append(ds.X, x), append(ds.Y, d)
-				es.X, es.Y = append(es.X, x), append(es.Y, e)
+				ds.X, ds.Y = append(ds.X, x), append(ds.Y, s.Dilation)
+				es.X, es.Y = append(es.X, x), append(es.Y, s.SysEfficiency)
 			}
 			dil.Series = append(dil.Series, ds)
 			eff.Series = append(eff.Series, es)
 		}
 		for _, name := range schedNames {
-			name := name
-			addSeries(name, func(o momentOutcome) (float64, float64) {
-				s := o.PerSched[name]
-				return s.Dilation, s.SysEfficiency
-			})
+			addSeries(name, cellsOf(heur, name))
 		}
-		baselineLabel := moments[0].Platform.Name
-		addSeries(baselineLabel, func(o momentOutcome) (float64, float64) {
-			return o.Baseline.Dilation, o.Baseline.SysEfficiency
-		})
-		addSeries("Upper-limit", func(o momentOutcome) (float64, float64) {
-			return 1, o.Upper
-		})
+		baseline := cellsOf(base, machineScheduler)
+		addSeries(m.preset, baseline)
+		upper := make([]metrics.Summary, len(baseline))
+		for i, s := range baseline {
+			upper[i] = metrics.Summary{Dilation: 1, SysEfficiency: s.UpperLimit}
+		}
+		addSeries("Upper-limit", upper)
 		dil.Notes = []string{
 			"heuristics run without burst buffers; the baseline uses them",
-			fmt.Sprintf("%d congested moments", len(outcomes)),
+			fmt.Sprintf("%d congested moments", len(baseline)),
 		}
 		return &Document{
 			ID:      id,
-			Title:   fmt.Sprintf("Per-moment comparison on %s", baselineLabel),
+			Title:   fmt.Sprintf("Per-moment comparison on %s", m.preset),
 			Figures: []*report.Figure{dil, eff},
 		}, nil
 	}
@@ -131,43 +122,31 @@ func momentsFigure(id string, set func(Config) []workload.Moment, firstN int, sc
 
 // momentsTable builds a Table 1/Table 2 style report: mean Dilation and
 // SysEfficiency per scheduler over the full congested-moment set.
-func momentsTable(id, machine string, set func(Config) []workload.Moment) Runner {
+func momentsTable(id string, set func(Config) momentSet) Runner {
 	return func(cfg Config) (*Document, error) {
-		moments := set(cfg)
-		outcomes, err := runMoments(moments, momentSchedulers(), cfg.Workers)
+		m := set(cfg)
+		heur, base, err := m.run(cfg, m.n, momentSchedulers)
 		if err != nil {
 			return nil, err
 		}
 		tbl := &report.Table{
-			Title:   fmt.Sprintf("Averages over %d congested moments on %s", len(outcomes), machine),
+			Title:   fmt.Sprintf("Averages over %d congested moments on %s", m.n, m.machine),
 			Columns: []string{"Dilation", "SysEfficiency"},
 			Notes: []string{
 				"Dilation is minimized, SysEfficiency maximized",
 				"heuristic rows run without burst buffers; the machine row uses them",
 			},
 		}
-		order := []string{
-			"MaxSysEff", "Priority-MaxSysEff",
-			"MinMax-0.25", "Priority-MinMax-0.25",
-			"MinMax-0.5", "Priority-MinMax-0.5",
-			"MinMax-0.75", "Priority-MinMax-0.75",
-			"MinDilation", "Priority-MinDilation",
+		for _, name := range momentSchedulers {
+			g := groupOf(heur, m.preset, momentsWorkload, name)
+			tbl.AddRow(name, g.Dilation, g.SysEfficiency)
 		}
-		for _, name := range order {
-			mean := meanOver(outcomes, name)
-			tbl.AddRow(name, mean.Dilation, mean.SysEfficiency)
-		}
-		base := meanBaseline(outcomes)
-		tbl.AddRow(machine, base.Dilation, base.SysEfficiency)
-		var upper float64
-		for _, o := range outcomes {
-			upper += o.Upper
-		}
-		upper /= float64(len(outcomes))
-		tbl.AddRow("Upper-limit", math.NaN(), upper)
+		g := groupOf(base, m.preset, momentsWorkload, machineScheduler)
+		tbl.AddRow(m.machine, g.Dilation, g.SysEfficiency)
+		tbl.AddRow("Upper-limit", math.NaN(), g.UpperLimit)
 		return &Document{
 			ID:     id,
-			Title:  fmt.Sprintf("%s congested-moment averages", machine),
+			Title:  fmt.Sprintf("%s congested-moment averages", m.machine),
 			Tables: []*report.Table{tbl},
 		}, nil
 	}

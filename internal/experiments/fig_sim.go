@@ -61,7 +61,7 @@ func runFig1(cfg Config) (*Document, error) {
 	if cfg.Quick {
 		nMoments = 4
 	}
-	moments := workload.Fig1Apps(nMoments, 100+cfg.Seed)
+	moments := workload.IntrepidMoments(nMoments, 100+cfg.Seed)
 	perMoment, err := parallel.Map(len(moments), cfg.Workers, func(i int) ([]float64, error) {
 		m := moments[i]
 		res, err := sim.Run(sim.Config{
@@ -210,7 +210,7 @@ func fig6Runner(kind workload.Fig6Kind) Runner {
 	return func(cfg Config) (*Document, error) {
 		n := cfg.replicates()
 		spec := fig6Spec(kind, cfg.Seed, n)
-		res, _, err := (&campaign.Runner{Spec: spec, Workers: cfg.Workers}).Run()
+		res, err := runSpec(cfg, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -219,10 +219,7 @@ func fig6Runner(kind workload.Fig6Kind) Runner {
 			Columns: []string{"SysEfficiency", "±95%", "Dilation", "±95%"},
 		}
 		for _, sched := range core.AllHeuristics() {
-			g, ok := res.Group("intrepid", spec.Name, sched.Name())
-			if !ok {
-				return nil, fmt.Errorf("experiments: %s: no campaign group for %s", spec.Name, sched.Name())
-			}
+			g := groupOf(res, "intrepid", spec.Name, sched.Name())
 			tbl.AddRow(sched.Name(), g.SysEfficiency, g.SysEfficiencyCI95, g.Dilation, g.DilationCI95)
 		}
 		return &Document{ID: spec.Name, Title: kind.String(), Tables: []*report.Table{tbl}}, nil
@@ -233,8 +230,34 @@ func fig6Runner(kind workload.Fig6Kind) Runner {
 // heuristics as per-instance work variability grows from 0 to 30%.
 func runFig7(cfg Config) (*Document, error) {
 	sens := []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30}
-	scheds := []core.Scheduler{core.MinDilation(), core.MaxSysEff(), core.MinMax(0.5)}
 	n := cfg.replicates()
+	// The Figure 6b mix (workload.Fig6Config) with one workload per work
+	// sensibility, over replicate mixes seeded as in fig6Spec.
+	spec := &campaign.Spec{
+		Name:       "fig7",
+		Platforms:  []campaign.PlatformSpec{{Preset: "intrepid"}},
+		Schedulers: []string{"MinDilation", "MaxSysEff", "MinMax-0.5"},
+		Seeds:      campaign.SeedRange{Start: cfg.Seed + 7, Stride: 31, Count: n},
+	}
+	for _, x := range sens {
+		spec.Workloads = append(spec.Workloads, campaign.WorkloadSpec{
+			Name: fmt.Sprintf("sens-%g", x),
+			Generator: &campaign.GeneratorSpec{
+				Groups:         []campaign.GroupSpec{{Count: 50, Category: "small"}, {Count: 5, Category: "large"}},
+				IORatio:        0.20,
+				IORatioSpread:  0.75,
+				WMinS:          200,
+				WMaxS:          1000,
+				SensW:          x,
+				TargetTimeS:    8000,
+				ReleaseSpreadS: 50,
+			},
+		})
+	}
+	res, err := runSpec(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
 
 	dil := &report.Figure{
 		Title:  "Dilation vs computation sensibility",
@@ -246,24 +269,15 @@ func runFig7(cfg Config) (*Document, error) {
 		XLabel: "sensibility %",
 		YLabel: "SysEfficiency",
 	}
-	for _, sched := range scheds {
-		ds := report.Series{Name: sched.Name()}
-		es := report.Series{Name: sched.Name()}
-		for _, x := range sens {
-			sums, err := replicateSummaries(func(rep int) workload.Config {
-				wcfg := workload.Fig6Config(workload.Fig6B, cfg.Seed+int64(rep)*31+7)
-				wcfg.SensW = x
-				wcfg.SensIO = 0
-				return wcfg
-			}, sched, n, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			mean := metrics.MeanSummary(sums)
+	for _, sched := range spec.Schedulers {
+		ds := report.Series{Name: sched}
+		es := report.Series{Name: sched}
+		for i, x := range sens {
+			g := groupOf(res, "intrepid", spec.Workloads[i].Name, sched)
 			ds.X = append(ds.X, 100*x)
-			ds.Y = append(ds.Y, mean.Dilation)
+			ds.Y = append(ds.Y, g.Dilation)
 			es.X = append(es.X, 100*x)
-			es.Y = append(es.Y, mean.SysEfficiency)
+			es.Y = append(es.Y, g.SysEfficiency)
 		}
 		dil.Series = append(dil.Series, ds)
 		eff.Series = append(eff.Series, es)

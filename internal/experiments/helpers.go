@@ -3,122 +3,94 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/campaign"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// momentOutcome holds every scheduler's result on one congested moment.
-type momentOutcome struct {
-	Name string
-	// PerSched maps scheduler name to the run summary of our heuristic
-	// without burst buffers.
-	PerSched map[string]metrics.Summary
-	// Baseline is the production scheduler: max-min fair sharing with
-	// the machine's burst buffers.
-	Baseline metrics.Summary
-	// Upper is the mix's upper-limit SysEfficiency.
-	Upper float64
+// momentSchedulers is the heuristic set of Tables 1 and 2 in table order:
+// the two extremes and the three MinMax thresholds, each followed by its
+// Priority variant.
+var momentSchedulers = []string{
+	"MaxSysEff", "Priority-MaxSysEff",
+	"MinMax-0.25", "Priority-MinMax-0.25",
+	"MinMax-0.5", "Priority-MinMax-0.5",
+	"MinMax-0.75", "Priority-MinMax-0.75",
+	"MinDilation", "Priority-MinDilation",
 }
 
-// runMoments executes every scheduler on every congested moment: the
-// heuristics run without burst buffers, the baseline (the machine's own
-// scheduler) with them — the paper's headline comparison.
-func runMoments(moments []workload.Moment, scheds []core.Scheduler, workers int) ([]momentOutcome, error) {
-	return parallel.Map(len(moments), workers, func(i int) (momentOutcome, error) {
-		m := moments[i]
-		out := momentOutcome{Name: m.Name, PerSched: make(map[string]metrics.Summary, len(scheds))}
-		for _, s := range scheds {
-			res, err := sim.Run(sim.Config{
-				Platform:  m.Platform.WithoutBB(),
-				Scheduler: s,
-				Apps:      m.Apps,
-			})
-			if err != nil {
-				return out, fmt.Errorf("%s under %s: %w", m.Name, s.Name(), err)
-			}
-			out.PerSched[s.Name()] = res.Summary
-		}
-		base, err := sim.Run(sim.Config{
-			Platform:  m.Platform,
-			Scheduler: core.FairShare{},
-			Apps:      m.Apps,
-			UseBB:     m.Platform.BurstBuffer != nil,
-		})
-		if err != nil {
-			return out, fmt.Errorf("%s baseline: %w", m.Name, err)
-		}
-		out.Baseline = base.Summary
-		out.Upper = base.Summary.UpperLimit
-		return out, nil
-	})
+// machineScheduler stands in for the production scheduler the heuristics
+// are compared with; it runs with the machine's burst buffers.
+const machineScheduler = "fair-share"
+
+// momentsWorkload labels the workload axis of every moment-set campaign.
+const momentsWorkload = "moments"
+
+// momentSet is one machine's seeded congested-moment set (Section 4.4).
+type momentSet struct {
+	preset  string // platform preset, also the campaign platform label
+	machine string // the production scheduler's row label
+	setSeed int64
+	n       int
 }
 
-// momentSchedulers returns the heuristic set of Tables 1 and 2: the two
-// extremes, the three MinMax thresholds, and every Priority variant.
-func momentSchedulers() []core.Scheduler {
-	base := []*core.Heuristic{
-		core.MaxSysEff(),
-		core.MinMax(0.25),
-		core.MinMax(0.5),
-		core.MinMax(0.75),
-		core.MinDilation(),
+func intrepidSet(cfg Config) momentSet {
+	return momentSet{"intrepid", "Intrepid", 1000 + cfg.Seed, cfg.intrepidMoments()}
+}
+
+func miraSet(cfg Config) momentSet {
+	return momentSet{"mira", "Mira", 2000 + cfg.Seed, cfg.miraMoments()}
+}
+
+// spec declares the set's first n moments under scheds as a campaign:
+// the seed axis is the moment index, so each group's mean over seeds is
+// its mean over the moments.
+func (m momentSet) spec(n int, scheds []string, sim campaign.SimOptions) *campaign.Spec {
+	return &campaign.Spec{
+		Name:       m.preset + "-" + momentsWorkload,
+		Platforms:  []campaign.PlatformSpec{{Preset: m.preset}},
+		Schedulers: scheds,
+		Workloads: []campaign.WorkloadSpec{{
+			Name:    momentsWorkload,
+			Moments: &campaign.MomentSpec{SetSeed: m.setSeed},
+		}},
+		Seeds: campaign.SeedRange{Count: n},
+		Sim:   sim,
 	}
-	out := make([]core.Scheduler, 0, 2*len(base))
-	for _, h := range base {
-		out = append(out, h, h.WithPriority())
+}
+
+// run executes the paper's headline comparison on the set's first n
+// moments: scheds without burst buffers (heur), and the machine
+// scheduler with them (base).
+func (m momentSet) run(cfg Config, n int, scheds []string) (heur, base *campaign.Results, err error) {
+	if heur, err = runSpec(cfg, m.spec(n, scheds, campaign.SimOptions{})); err != nil {
+		return nil, nil, err
+	}
+	base, err = runSpec(cfg, m.spec(n, []string{machineScheduler}, campaign.SimOptions{UseBB: true}))
+	return heur, base, err
+}
+
+// runSpec executes a campaign on the configured worker pool, uncached.
+func runSpec(cfg Config, spec *campaign.Spec) (*campaign.Results, error) {
+	res, _, err := (&campaign.Runner{Spec: spec, Workers: cfg.Workers}).Run()
+	return res, err
+}
+
+// groupOf returns one group of a campaign the caller declared.
+func groupOf(res *campaign.Results, platform, workload, sched string) campaign.GroupSummary {
+	g, ok := res.Group(platform, workload, sched)
+	if !ok {
+		panic(fmt.Sprintf("experiments: campaign %s has no group %s/%s/%s", res.Name, platform, workload, sched))
+	}
+	return g
+}
+
+// cellsOf returns one scheduler's cell summaries in moment order.
+func cellsOf(res *campaign.Results, sched string) []metrics.Summary {
+	var out []metrics.Summary
+	for _, c := range res.Cells {
+		if c.Scheduler == sched {
+			out = append(out, c.Summary)
+		}
 	}
 	return out
-}
-
-// meanOver averages one scheduler's summaries over a moment set.
-func meanOver(outcomes []momentOutcome, sched string) metrics.Summary {
-	runs := make([]metrics.Summary, 0, len(outcomes))
-	for _, o := range outcomes {
-		runs = append(runs, o.PerSched[sched])
-	}
-	return metrics.MeanSummary(runs)
-}
-
-// meanBaseline averages the baseline scheduler's summaries.
-func meanBaseline(outcomes []momentOutcome) metrics.Summary {
-	runs := make([]metrics.Summary, 0, len(outcomes))
-	for _, o := range outcomes {
-		runs = append(runs, o.Baseline)
-	}
-	return metrics.MeanSummary(runs)
-}
-
-// replicateSummaries runs one scheduler over seeded replicate mixes and
-// returns the per-replicate summaries.
-func replicateSummaries(cfgGen func(rep int) workload.Config, sched core.Scheduler, n, workers int) ([]metrics.Summary, error) {
-	return parallel.Map(n, workers, func(rep int) (metrics.Summary, error) {
-		wcfg := cfgGen(rep)
-		apps, err := workload.Generate(wcfg)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		res, err := sim.Run(sim.Config{
-			Platform:  wcfg.Platform.WithoutBB(),
-			Scheduler: sched,
-			Apps:      apps,
-		})
-		if err != nil {
-			return metrics.Summary{}, fmt.Errorf("replicate %d under %s: %w", rep, sched.Name(), err)
-		}
-		return res.Summary, nil
-	})
-}
-
-// intrepidSet builds the seeded Intrepid congested-moment set for a
-// config.
-func intrepidSet(cfg Config) []workload.Moment {
-	return workload.IntrepidMoments(cfg.intrepidMoments(), 1000+cfg.Seed)
-}
-
-// miraSet builds the seeded Mira congested-moment set.
-func miraSet(cfg Config) []workload.Moment {
-	return workload.MiraMoments(cfg.miraMoments(), 2000+cfg.Seed)
 }

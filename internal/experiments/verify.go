@@ -10,7 +10,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -41,43 +40,32 @@ func runVerify(cfg Config) (*Document, error) {
 	}
 
 	// --- Intrepid and Mira congested moments (Tables 1 and 2). -------
-	for _, set := range []struct {
-		label   string
-		moments []workload.Moment
-	}{
-		{"intrepid", intrepidSet(cfg)},
-		{"mira", miraSet(cfg)},
-	} {
-		outcomes, err := runMoments(set.moments, momentSchedulers(), cfg.Workers)
+	for _, set := range []momentSet{intrepidSet(cfg), miraSet(cfg)} {
+		heur, base, err := set.run(cfg, set.n, []string{"MaxSysEff", "MinDilation", "MinMax-0.5"})
 		if err != nil {
 			return nil, err
 		}
-		maxEff := meanOver(outcomes, "MaxSysEff")
-		minDil := meanOver(outcomes, "MinDilation")
-		mid := meanOver(outcomes, "MinMax-0.5")
-		base := meanBaseline(outcomes)
-		var upper float64
-		for _, o := range outcomes {
-			upper += o.Upper
-		}
-		upper /= float64(len(outcomes))
+		maxEff := groupOf(heur, set.preset, momentsWorkload, "MaxSysEff")
+		minDil := groupOf(heur, set.preset, momentsWorkload, "MinDilation")
+		mid := groupOf(heur, set.preset, momentsWorkload, "MinMax-0.5")
+		machine := groupOf(base, set.preset, momentsWorkload, machineScheduler)
 
-		add(set.label+": MaxSysEff efficiency >= MinDilation's",
+		add(set.preset+": MaxSysEff efficiency >= MinDilation's",
 			maxEff.SysEfficiency, minDil.SysEfficiency,
 			maxEff.SysEfficiency >= minDil.SysEfficiency-0.1)
-		add(set.label+": MinDilation dilation <= MaxSysEff's",
+		add(set.preset+": MinDilation dilation <= MaxSysEff's",
 			minDil.Dilation, maxEff.Dilation,
 			minDil.Dilation <= maxEff.Dilation+0.01)
-		add(set.label+": MaxSysEff (no BB) beats machine scheduler (BB) on efficiency",
-			maxEff.SysEfficiency, base.SysEfficiency,
-			maxEff.SysEfficiency > base.SysEfficiency)
-		add(set.label+": MinDilation (no BB) beats machine scheduler (BB) on dilation",
-			minDil.Dilation, base.Dilation,
-			minDil.Dilation < base.Dilation)
-		add(set.label+": upper limit bounds every heuristic",
-			upper, maxEff.SysEfficiency,
-			upper >= maxEff.SysEfficiency && upper >= base.SysEfficiency)
-		add(set.label+": MinMax-0.5 interpolates the extremes on dilation",
+		add(set.preset+": MaxSysEff (no BB) beats machine scheduler (BB) on efficiency",
+			maxEff.SysEfficiency, machine.SysEfficiency,
+			maxEff.SysEfficiency > machine.SysEfficiency)
+		add(set.preset+": MinDilation (no BB) beats machine scheduler (BB) on dilation",
+			minDil.Dilation, machine.Dilation,
+			minDil.Dilation < machine.Dilation)
+		add(set.preset+": upper limit bounds every heuristic",
+			machine.UpperLimit, maxEff.SysEfficiency,
+			machine.UpperLimit >= maxEff.SysEfficiency && machine.UpperLimit >= machine.SysEfficiency)
+		add(set.preset+": MinMax-0.5 interpolates the extremes on dilation",
 			mid.Dilation, maxEff.Dilation,
 			mid.Dilation >= minDil.Dilation-0.05 && mid.Dilation <= maxEff.Dilation+0.05)
 	}

@@ -85,78 +85,79 @@ func MiraMoments(n int, seed int64) []Moment {
 	return congestedMoments(platform.Mira(), "mira", n, seed)
 }
 
-// congestedMoments draws application mixes heavy enough that aggregate I/O
-// demand exceeds the file-system bandwidth. Each moment independently
-// draws one of the two dominant Intrepid scenario shapes, an I/O intensity,
-// and a Darshan coverage fraction; unobserved load is reconstructed by
-// replicating observed applications.
+// congestedMoments draws the first n moments of the set seeded by seed.
 func congestedMoments(p *platform.Platform, label string, n int, seed int64) []Moment {
 	moments := make([]Moment, 0, n)
-	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		momentSeed := rng.Int63()
-		mrng := rand.New(rand.NewSource(momentSeed))
-
-		cfg := Config{
-			Platform: p,
-			Seed:     momentSeed + 1,
-			WMin:     150,
-			WMax:     900,
-			// Checkpoint periods cluster on round values and the batch
-			// scheduler starts co-scheduled jobs together, so bursts
-			// resonate: this is what turns a moderate average I/O load
-			// into a congested moment.
-			WQuantum:      300,
-			TargetTime:    6000,
-			ReleaseSpread: 30,
-			// Observed (Darshan-covered) share of the machine; the
-			// rest is replicated below.
-			Fill: 0.5,
-		}
-		// I/O intensity of the moment: calibrated so the moment sets'
-		// mean upper-limit efficiency lands near the paper's (91.6% on
-		// Intrepid, 85.0% on Mira) while still saturating the file
-		// system during bursts. Individual applications spread widely
-		// around the moment mean (I/O-bound codes next to compute-bound
-		// ones).
-		cfg.IORatio = uniform(mrng, 0.04, 0.16)
-		cfg.IORatioSpread = 0.8
-
-		if mrng.Float64() < 0.5 {
-			// A few large or very-large applications alone.
-			nLarge := 2 + mrng.Intn(4)
-			nVL := mrng.Intn(3)
-			cfg.Specs = []Spec{{Count: nLarge, Category: Large}}
-			if nVL > 0 {
-				cfg.Specs = append(cfg.Specs, Spec{Count: nVL, Category: VeryLarge})
-			}
-		} else {
-			// Many small applications plus a few large ones.
-			cfg.Specs = []Spec{
-				{Count: 15 + mrng.Intn(30), Category: Small},
-				{Count: 2 + mrng.Intn(4), Category: Large},
-			}
-		}
-
-		observed, err := Generate(cfg)
-		if err != nil {
-			// The configuration space above always fits on the
-			// machine; an error is a programming bug.
-			panic(fmt.Sprintf("workload: moment generation: %v", err))
-		}
-		apps := ReplicateToFill(p, observed, uniform(mrng, 0.92, 0.99), momentSeed+2)
-		moments = append(moments, Moment{
-			Name:     fmt.Sprintf("%s-moment-%02d", label, i+1),
-			Platform: p,
-			Apps:     apps,
-		})
+		moments = append(moments, CongestedMoment(p, label, seed, i))
 	}
 	return moments
 }
 
-// Fig1Apps generates the ~400-application population used to reproduce
-// Figure 1: applications drawn from congested windows whose individual I/O
-// throughput under the baseline scheduler is compared to dedicated mode.
-func Fig1Apps(nMoments int, seed int64) []Moment {
-	return congestedMoments(platform.Intrepid(), "fig1", nMoments, seed)
+// CongestedMoment builds moment i (from 0) of the set drawn on p from
+// seed: a mix whose aggregate I/O demand exceeds the file-system
+// bandwidth. Each moment draws one of the two dominant Intrepid scenario
+// shapes, an I/O intensity and a Darshan coverage fraction, and
+// replicates observed applications for the unobserved load. It depends
+// only on (p, seed, i), not on the set's size. p must have the node
+// count and bandwidths of the Intrepid or Mira preset.
+func CongestedMoment(p *platform.Platform, label string, seed int64, i int) Moment {
+	rng := rand.New(rand.NewSource(seed))
+	var momentSeed int64
+	for j := 0; j <= i; j++ {
+		momentSeed = rng.Int63()
+	}
+	mrng := rand.New(rand.NewSource(momentSeed))
+
+	cfg := Config{
+		Platform: p,
+		Seed:     momentSeed + 1,
+		WMin:     150,
+		WMax:     900,
+		// Checkpoint periods cluster on round values and the batch
+		// scheduler starts co-scheduled jobs together, so bursts
+		// resonate: this is what turns a moderate average I/O load
+		// into a congested moment.
+		WQuantum:      300,
+		TargetTime:    6000,
+		ReleaseSpread: 30,
+		// Observed (Darshan-covered) share of the machine; the rest is
+		// replicated below.
+		Fill: 0.5,
+	}
+	// I/O intensity of the moment: calibrated so the moment sets' mean
+	// upper-limit efficiency lands near the paper's (91.6% on Intrepid,
+	// 85.0% on Mira) while still saturating the file system during
+	// bursts. Individual applications spread widely around the moment
+	// mean (I/O-bound codes next to compute-bound ones).
+	cfg.IORatio = uniform(mrng, 0.04, 0.16)
+	cfg.IORatioSpread = 0.8
+
+	if mrng.Float64() < 0.5 {
+		// A few large or very-large applications alone.
+		nLarge := 2 + mrng.Intn(4)
+		nVL := mrng.Intn(3)
+		cfg.Specs = []Spec{{Count: nLarge, Category: Large}}
+		if nVL > 0 {
+			cfg.Specs = append(cfg.Specs, Spec{Count: nVL, Category: VeryLarge})
+		}
+	} else {
+		// Many small applications plus a few large ones.
+		cfg.Specs = []Spec{
+			{Count: 15 + mrng.Intn(30), Category: Small},
+			{Count: 2 + mrng.Intn(4), Category: Large},
+		}
+	}
+
+	observed, err := Generate(cfg)
+	if err != nil {
+		// The configuration space above always fits on both machines; an
+		// error is a programming bug.
+		panic(fmt.Sprintf("workload: moment generation: %v", err))
+	}
+	return Moment{
+		Name:     fmt.Sprintf("%s-moment-%02d", label, i+1),
+		Platform: p,
+		Apps:     ReplicateToFill(p, observed, uniform(mrng, 0.92, 0.99), momentSeed+2),
+	}
 }
